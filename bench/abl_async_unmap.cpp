@@ -143,6 +143,8 @@ int main(int argc, char** argv) {
   const double secs = cli.GetDouble("--secs", 0.25);
   const int repeats = static_cast<int>(cli.GetInt("--repeats", 3));
   const bool csv = cli.GetBool("--csv");
+  const std::string json_path = cli.JsonPath();
+  cli.RejectUnknown();
 
   std::cout << "\n=== batched async munmap — mmap/fault/munmap churn, page sweep "
                "inline vs deferred vs epoch-tick async ===\n";
@@ -184,5 +186,5 @@ int main(int argc, char** argv) {
                  {"secs", srl::Table::Num(secs, 3)},
                  {"repeats", std::to_string(repeats)}},
                 table);
-  return json.Write(cli.JsonPath()) ? 0 : 1;
+  return json.Write(json_path) ? 0 : 1;
 }

@@ -63,6 +63,8 @@ int main(int argc, char** argv) {
   const std::vector<int> threads = cli.GetIntList("--threads", {4, 8});
   const double secs = cli.GetDouble("--secs", 0.4);
   const bool csv = cli.GetBool("--csv");
+  const std::string json_path = cli.JsonPath();
+  cli.RejectUnknown();
 
   std::cout << "=== Ablation — fairness layer (§4.3): throughput vs worst-case "
                "acquisition latency ===\n";
@@ -87,5 +89,5 @@ int main(int argc, char** argv) {
 
   srl::BenchJson json("abl_fairness");
   json.AddTable({{"workload", "hot-spot CAS churn, 4B ranges in an 8B window"}}, table);
-  return json.Write(cli.JsonPath()) ? 0 : 1;
+  return json.Write(json_path) ? 0 : 1;
 }

@@ -138,8 +138,10 @@ int main(int argc, char** argv) {
   const double secs = cli.GetDouble("--secs", 0.25);
   const int repeats = static_cast<int>(cli.GetInt("--repeats", 1));
   const bool csv = cli.GetBool("--csv");
+  const std::string json_path = cli.JsonPath();
+  cli.RejectUnknown();
 
   srl::BenchJson json("abl_listlen");
   srl::RunPanel(held, secs, repeats, csv, &json);
-  return json.Write(cli.JsonPath()) ? 0 : 1;
+  return json.Write(json_path) ? 0 : 1;
 }

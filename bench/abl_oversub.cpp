@@ -111,6 +111,8 @@ int main(int argc, char** argv) {
   const double secs = cli.GetDouble("--secs", 0.15);
   const int repeats = static_cast<int>(cli.GetInt("--repeats", 1));
   const bool csv = cli.GetBool("--csv");
+  const std::string json_path = cli.JsonPath();
+  cli.RejectUnknown();
 
   auto kind_of = [](const std::string& v, srl::vm::VmLockKind* out) {
     using srl::vm::VmLockKind;
@@ -183,5 +185,5 @@ int main(int argc, char** argv) {
                  {"hot_window", std::to_string(srl::kHotWindow)},
                  {"disjoint_stride", std::to_string(srl::kDisjointStride)}},
                 table);
-  return json.Write(cli.JsonPath()) ? 0 : 1;
+  return json.Write(json_path) ? 0 : 1;
 }

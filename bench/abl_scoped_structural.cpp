@@ -152,6 +152,8 @@ int main(int argc, char** argv) {
   const std::vector<std::string> names = cli.GetStringList(
       "--variants", {"stock", "tree-full", "tree-scoped", "list-full", "list-refined",
                      "list-scoped", "list-lf-full", "list-lf-scoped"});
+  const std::string json_path = cli.JsonPath();
+  cli.RejectUnknown();
 
   std::cout << "\n=== range-scoped structural ops — disjoint-arena mmap/munmap churn "
                "with fault readers, across stripe configurations ===\n";
@@ -220,5 +222,5 @@ int main(int argc, char** argv) {
                  {"readers", std::to_string(readers)},
                  {"pages", std::to_string(pages)}},
                 stripe_table);
-  return json.Write(cli.JsonPath()) ? 0 : 1;
+  return json.Write(json_path) ? 0 : 1;
 }

@@ -53,6 +53,7 @@ int main(int argc, char** argv) {
   const int threads = static_cast<int>(cli.GetInt("--threads", 4));
   const double secs = cli.GetDouble("--secs", 0.3);
   const bool csv = cli.GetBool("--csv");
+  cli.RejectUnknown();
 
   std::cout << "=== Ablation — pnova-rw segment-count sensitivity (random ranges, "
             << threads << " threads, 30% writes) ===\n";

@@ -119,6 +119,8 @@ int main(int argc, char** argv) {
   const std::vector<std::string> names = cli.GetStringList(
       "--variants", {"stock", "tree-full", "tree-refined", "tree-scoped", "list-full",
                      "list-refined", "list-scoped", "list-lf-full", "list-lf-scoped"});
+  const std::string json_path = cli.JsonPath();
+  cli.RejectUnknown();
 
   std::cout << "\n=== trylock-first fault path under mmap/munmap churn ===\n";
   srl::Table table({"variant", "threads", "stripes", "mode", "faults/sec",
@@ -160,5 +162,5 @@ int main(int argc, char** argv) {
                  {"secs", srl::Table::Num(secs, 3)},
                  {"repeats", std::to_string(repeats)}},
                 table);
-  return json.Write(cli.JsonPath()) ? 0 : 1;
+  return json.Write(json_path) ? 0 : 1;
 }

@@ -66,6 +66,7 @@ int main(int argc, char** argv) {
   const int threads = static_cast<int>(cli.GetInt("--threads", 4));
   const double secs = cli.GetDouble("--secs", 0.4);
   const bool csv = cli.GetBool("--csv");
+  cli.RejectUnknown();
 
   std::cout << "=== Ablation — munmap lookup speculation (§5.2 future work): fault "
                "throughput under a stream of missing munmaps ===\n";

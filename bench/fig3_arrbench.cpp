@@ -257,6 +257,8 @@ int main(int argc, char** argv) {
   const double secs = cli.GetDouble("--secs", 0.25);
   const int repeats = static_cast<int>(cli.GetInt("--repeats", 1));
   const bool csv = cli.GetBool("--csv");
+  const std::string json_path = cli.JsonPath();
+  cli.RejectUnknown();
 
   std::vector<srl::Variant> variants;
   if (variant == "all") {
@@ -273,5 +275,5 @@ int main(int argc, char** argv) {
     srl::RunPanel(v, 1.0, threads, secs, repeats, csv, &json);  // 100% reads panel
     srl::RunPanel(v, 0.6, threads, secs, repeats, csv, &json);  // 60% reads panel
   }
-  return json.Write(cli.JsonPath()) ? 0 : 1;
+  return json.Write(json_path) ? 0 : 1;
 }

@@ -85,6 +85,7 @@ int main(int argc, char** argv) {
   const double secs = cli.GetDouble("--secs", 0.3);
   const int repeats = static_cast<int>(cli.GetInt("--repeats", 1));
   const bool csv = cli.GetBool("--csv");
+  cli.RejectUnknown();
 
   std::cout << "=== Figure 4 — skip-list throughput (ops/sec), "
             << (1.0 - update_fraction) * 100 << "% find, key range " << key_range

@@ -15,11 +15,8 @@
 namespace srl::bench {
 namespace {
 
-void RunApp(metis::MetisApp app, const Cli& cli, BenchJson* json) {
-  const std::vector<int> threads = cli.GetIntList("--threads", {1, 2, 4, 8});
-  const int repeats = static_cast<int>(cli.GetInt("--repeats", 1));
-  const bool csv = cli.GetBool("--csv");
-
+void RunApp(metis::MetisApp app, const MetisFlags& flags, int repeats,
+            BenchJson* json) {
   std::cout << "\n=== Figure 5 (" << metis::MetisAppName(app)
             << ") — runtime, seconds (lower is better) ===\n";
   Table table({"variant", "threads", "runtime_s", "rel-stddev%", "spec-rate%"});
@@ -27,11 +24,11 @@ void RunApp(metis::MetisApp app, const Cli& cli, BenchJson* json) {
        {vm::VmVariant::kStock, vm::VmVariant::kTreeFull, vm::VmVariant::kTreeRefined,
         vm::VmVariant::kListFull, vm::VmVariant::kListRefined,
         vm::VmVariant::kTreeScoped, vm::VmVariant::kListScoped}) {
-    for (int t : threads) {
+    for (int t : flags.threads) {
       std::vector<double> secs;
       double spec = 0;
       for (int r = 0; r < repeats; ++r) {
-        const MetisRun run = RunMetisOnce(variant, ConfigFromCli(cli, app, t),
+        const MetisRun run = RunMetisOnce(variant, ConfigFor(flags, app, t),
                                           /*collect_wait_stats=*/false,
                                           /*collect_spin_stats=*/false);
         if (!run.result.ok) {
@@ -46,10 +43,10 @@ void RunApp(metis::MetisApp app, const Cli& cli, BenchJson* json) {
                     Table::Num(s.RelStddevPct(), 1), Table::Num(spec * 100.0, 1)});
     }
   }
-  table.Print(std::cout, csv);
+  table.Print(std::cout, flags.csv);
   json->AddTable({{"app", metis::MetisAppName(app)},
-                  {"total_kb", std::to_string(cli.GetInt("--total-kb", 768))},
-                  {"rounds", std::to_string(cli.GetInt("--rounds", 6))},
+                  {"total_kb", std::to_string(flags.total_kb)},
+                  {"rounds", std::to_string(flags.rounds)},
                   {"repeats", std::to_string(repeats)}},
                  table);
 }
@@ -64,10 +61,13 @@ int main(int argc, char** argv) {
                  "--csv --json=BENCH_fig5.json\n";
     return 0;
   }
+  const srl::bench::MetisFlags flags(cli);
+  const int repeats = static_cast<int>(cli.GetInt("--repeats", 1));
+  cli.RejectUnknown();
   srl::BenchJson json("fig5_metis");
   for (srl::metis::MetisApp app : {srl::metis::MetisApp::kWr, srl::metis::MetisApp::kWc,
                                    srl::metis::MetisApp::kWrmem}) {
-    srl::bench::RunApp(app, cli, &json);
+    srl::bench::RunApp(app, flags, repeats, &json);
   }
-  return json.Write(cli.JsonPath()) ? 0 : 1;
+  return json.Write(flags.json_path) ? 0 : 1;
 }

@@ -15,10 +15,7 @@
 namespace srl::bench {
 namespace {
 
-void RunApp(metis::MetisApp app, const Cli& cli, BenchJson* json) {
-  const std::vector<int> threads = cli.GetIntList("--threads", {1, 2, 4, 8});
-  const bool csv = cli.GetBool("--csv");
-
+void RunApp(metis::MetisApp app, const MetisFlags& flags, BenchJson* json) {
   std::cout << "\n=== Figure 7 (" << metis::MetisAppName(app)
             << ") — mean lock wait per acquisition, microseconds ===\n";
   Table table({"variant", "threads", "read_wait_us", "write_wait_us", "reads", "writes"});
@@ -27,8 +24,8 @@ void RunApp(metis::MetisApp app, const Cli& cli, BenchJson* json) {
         vm::VmVariant::kListFull, vm::VmVariant::kListRefined,
         vm::VmVariant::kTreeScoped, vm::VmVariant::kListScoped,
         vm::VmVariant::kListLfFull, vm::VmVariant::kListLfScoped}) {
-    for (int t : threads) {
-      const MetisRun run = RunMetisOnce(variant, ConfigFromCli(cli, app, t),
+    for (int t : flags.threads) {
+      const MetisRun run = RunMetisOnce(variant, ConfigFor(flags, app, t),
                                         /*collect_wait_stats=*/true,
                                         /*collect_spin_stats=*/false);
       if (!run.result.ok) {
@@ -41,10 +38,10 @@ void RunApp(metis::MetisApp app, const Cli& cli, BenchJson* json) {
                     std::to_string(run.reads), std::to_string(run.writes)});
     }
   }
-  table.Print(std::cout, csv);
+  table.Print(std::cout, flags.csv);
   json->AddTable({{"app", metis::MetisAppName(app)},
-                  {"total_kb", std::to_string(cli.GetInt("--total-kb", 768))},
-                  {"rounds", std::to_string(cli.GetInt("--rounds", 6))},
+                  {"total_kb", std::to_string(flags.total_kb)},
+                  {"rounds", std::to_string(flags.rounds)},
                   {"repeats", "1"}},
                  table);
 }
@@ -59,10 +56,12 @@ int main(int argc, char** argv) {
                  "--json=BENCH_fig7.json\n";
     return 0;
   }
+  const srl::bench::MetisFlags flags(cli);
+  cli.RejectUnknown();
   srl::BenchJson json("fig7_waittime");
   for (srl::metis::MetisApp app : {srl::metis::MetisApp::kWr, srl::metis::MetisApp::kWc,
                                    srl::metis::MetisApp::kWrmem}) {
-    srl::bench::RunApp(app, cli, &json);
+    srl::bench::RunApp(app, flags, &json);
   }
-  return json.Write(cli.JsonPath()) ? 0 : 1;
+  return json.Write(flags.json_path) ? 0 : 1;
 }

@@ -13,16 +13,13 @@
 namespace srl::bench {
 namespace {
 
-void RunApp(metis::MetisApp app, const Cli& cli, BenchJson* json) {
-  const std::vector<int> threads = cli.GetIntList("--threads", {1, 2, 4, 8});
-  const bool csv = cli.GetBool("--csv");
-
+void RunApp(metis::MetisApp app, const MetisFlags& flags, BenchJson* json) {
   std::cout << "\n=== Figure 8 (" << metis::MetisAppName(app)
             << ") — mean wait on the internal range-tree spin lock, microseconds ===\n";
   Table table({"variant", "threads", "spin_wait_us", "acquisitions"});
   for (vm::VmVariant variant : {vm::VmVariant::kTreeFull, vm::VmVariant::kTreeRefined}) {
-    for (int t : threads) {
-      const MetisRun run = RunMetisOnce(variant, ConfigFromCli(cli, app, t),
+    for (int t : flags.threads) {
+      const MetisRun run = RunMetisOnce(variant, ConfigFor(flags, app, t),
                                         /*collect_wait_stats=*/false,
                                         /*collect_spin_stats=*/true);
       if (!run.result.ok) {
@@ -34,7 +31,7 @@ void RunApp(metis::MetisApp app, const Cli& cli, BenchJson* json) {
                     std::to_string(run.spin_acquisitions)});
     }
   }
-  table.Print(std::cout, csv);
+  table.Print(std::cout, flags.csv);
   json->AddTable({{"app", metis::MetisAppName(app)}}, table);
 }
 
@@ -48,10 +45,12 @@ int main(int argc, char** argv) {
                  "--json=BENCH_fig8.json\n";
     return 0;
   }
+  const srl::bench::MetisFlags flags(cli);
+  cli.RejectUnknown();
   srl::BenchJson json("fig8_spinlock_wait");
   for (srl::metis::MetisApp app : {srl::metis::MetisApp::kWr, srl::metis::MetisApp::kWc,
                                    srl::metis::MetisApp::kWrmem}) {
-    srl::bench::RunApp(app, cli, &json);
+    srl::bench::RunApp(app, flags, &json);
   }
-  return json.Write(cli.JsonPath()) ? 0 : 1;
+  return json.Write(flags.json_path) ? 0 : 1;
 }

@@ -444,6 +444,8 @@ int main(int argc, char** argv) {
   const int repeats = static_cast<int>(cli.GetInt("--repeats", 1));
   const bool csv = cli.GetBool("--csv");
   const std::string cold_arg = cli.GetString("--cold-drop", "off");
+  const std::string json_path = cli.JsonPath();
+  cli.RejectUnknown();
   srl::ColdDrop cold = srl::ColdDrop::kOff;
   if (cold_arg == "inline") {
     cold = srl::ColdDrop::kInline;
@@ -521,5 +523,5 @@ int main(int argc, char** argv) {
                    {"mix", "60r/20w/10txn/10scan+fullscan+janitor"}},
                   cold_table);
   }
-  return json.Write(cli.JsonPath()) ? 0 : 1;
+  return json.Write(json_path) ? 0 : 1;
 }

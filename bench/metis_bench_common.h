@@ -2,7 +2,10 @@
 #ifndef SRL_BENCH_METIS_BENCH_COMMON_H_
 #define SRL_BENCH_METIS_BENCH_COMMON_H_
 
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/harness/cli.h"
 #include "src/harness/wait_stats.h"
@@ -23,19 +26,39 @@ struct MetisRun {
   double spec_rate = 0;
 };
 
-inline metis::MetisConfig ConfigFromCli(const Cli& cli, metis::MetisApp app,
-                                        int threads) {
+// The flags every Metis figure bench shares. main() reads them once, before
+// Cli::RejectUnknown, so a typo'd flag fails before the first job runs.
+struct MetisFlags {
+  explicit MetisFlags(const Cli& cli)
+      : threads(cli.GetIntList("--threads", {1, 2, 4, 8})),
+        total_kb(static_cast<uint64_t>(cli.GetInt("--total-kb", 768))),
+        rounds(static_cast<int>(cli.GetInt("--rounds", 6))),
+        grow_pages(static_cast<uint64_t>(cli.GetInt("--grow-pages", 4))),
+        seed(static_cast<uint64_t>(cli.GetInt("--seed", 1))),
+        csv(cli.GetBool("--csv")),
+        json_path(cli.JsonPath()) {}
+
+  std::vector<int> threads;
+  uint64_t total_kb;
+  int rounds;
+  uint64_t grow_pages;
+  uint64_t seed;
+  bool csv;
+  std::string json_path;
+};
+
+inline metis::MetisConfig ConfigFor(const MetisFlags& flags, metis::MetisApp app,
+                                    int threads) {
   metis::MetisConfig cfg;
   cfg.app = app;
   cfg.threads = threads;
   // Fixed TOTAL input per round, split across workers — the paper's methodology (a
   // fixed input file / 2GB wrmem buffer regardless of thread count), so runtime falls
   // with useful parallelism and rises only from contention.
-  const uint64_t total_bytes = static_cast<uint64_t>(cli.GetInt("--total-kb", 768)) * 1024;
-  cfg.chunk_bytes = total_bytes / static_cast<uint64_t>(threads);
-  cfg.rounds = static_cast<int>(cli.GetInt("--rounds", 6));
-  cfg.grow_chunk_pages = static_cast<uint64_t>(cli.GetInt("--grow-pages", 4));
-  cfg.seed = static_cast<uint64_t>(cli.GetInt("--seed", 1));
+  cfg.chunk_bytes = flags.total_kb * 1024 / static_cast<uint64_t>(threads);
+  cfg.rounds = flags.rounds;
+  cfg.grow_chunk_pages = flags.grow_pages;
+  cfg.seed = flags.seed;
   return cfg;
 }
 

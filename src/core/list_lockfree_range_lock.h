@@ -36,6 +36,16 @@
 // make the fast path free rather than a contention hazard: the fast CAS touches the
 // same cache line the slow insertion CAS would touch anyway, and on disjoint workloads
 // each thread's bucket head is effectively private.
+//
+// The fast path re-arms once a bucket drains: a slow-path insertion that finds its
+// bucket empty (insertion point == head, head == 0) publishes the node marked-at-head,
+// exactly as the fast path would have. Otherwise a bucket that went slow once would
+// stay slow forever — the plain node's release must mark it, the marked residue keeps
+// the head non-zero, and the next acquirer pays the slow path again, leaving residue
+// of its own. Publishing marked is sound for the fast path's reason: the node is
+// unreachable until the insertion CAS succeeds, and afterwards every traversal must win
+// the strip CAS before dereferencing it, so the eager recycle in ReleaseChain still
+// races only that strip CAS.
 #ifndef SRL_CORE_LIST_LOCKFREE_RANGE_LOCK_H_
 #define SRL_CORE_LIST_LOCKFREE_RANGE_LOCK_H_
 
@@ -283,7 +293,9 @@ class ListLockFreeRangeLock {
     AdmissionSpinner gate_spinner(&gate_, deadline);
     // The epoch critical section is entered lazily, only once some bucket takes the
     // slow path: fast-path buckets never dereference another thread's node, so an
-    // acquisition whose every covered bucket is empty pays no epoch fence at all.
+    // acquisition whose every covered bucket is empty pays no epoch fence at all. A
+    // slow-path insertion that drains its bucket to empty publishes marked-at-head
+    // (see InsertNode), so the bucket's next acquirer is back on this epoch-free path.
     EpochDomain::ThreadRec* rec = nullptr;
     LNode* chain_head = nullptr;
     LNode* chain_tail = nullptr;
@@ -413,9 +425,15 @@ class ListLockFreeRangeLock {
         }
         // Publication pairing as in list_range_lock.h: the relaxed store of node->next
         // is ordered before any other thread can see the node by the release half of
-        // the successful insertion CAS below.
+        // the successful insertion CAS below. Into an empty bucket the node goes in
+        // marked — the fast-path form — so its release can CAS the head back to zero
+        // and recycle eagerly instead of leaving marked residue (the re-arm rule in
+        // the header comment): nobody reaches the node before this CAS, and afterwards
+        // only through a won strip CAS.
         node->next.store(cur_word, std::memory_order_relaxed);
-        if (prev->compare_exchange_strong(cur_word, NodeWord(node),
+        const bool empty_bucket = prev == head && cur_word == 0;
+        if (prev->compare_exchange_strong(cur_word,
+                                          empty_bucket ? MarkedWord(node) : NodeWord(node),
                                           std::memory_order_seq_cst,
                                           std::memory_order_acquire)) {
           return true;

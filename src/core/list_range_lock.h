@@ -13,7 +13,9 @@
 //     head. This matches the behaviour the paper describes for the kernel variant
 //     ("threads block for a small period of time ... and recheck the range", §7.2) and
 //     keeps epoch barriers from stalling behind application-length critical sections;
-//   * the fast path (§4.5) is integrated behind Options::enable_fast_path;
+//   * the fast path (§4.5) is integrated behind Options::enable_fast_path, and re-arms
+//     once the list drains: a slow-path insertion into the empty list publishes the
+//     fast-path form (see InsertNode);
 //   * LockBounded() exposes the failure counting that the fairness layer (§4.3) needs.
 #ifndef SRL_CORE_LIST_RANGE_LOCK_H_
 #define SRL_CORE_LIST_RANGE_LOCK_H_
@@ -308,8 +310,17 @@ class ListRangeLock {
         // on success is kept anyway: it makes every insertion also participate in the
         // RW lock's fence protocol for free if a node migrates between analyses, and
         // costs nothing extra on x86/ARM LL-SC versus acq_rel here.
+        //
+        // With the fast path on, an insertion into the empty list publishes the node
+        // marked-at-head (the fast-path form), re-arming §4.5: its release CASes the
+        // head back to zero and recycles eagerly, where a plain node would leave marked
+        // residue that sends every later acquirer down the slow path. Sound for the
+        // fast path's reason: nobody reaches the node before this CAS, and afterwards
+        // only through a won strip CAS. With the fast path off nothing changes.
         node->next.store(cur_word, std::memory_order_relaxed);
-        if (prev->compare_exchange_strong(cur_word, NodeWord(node),
+        const bool rearm = options_.enable_fast_path && prev == &head_ && cur_word == 0;
+        if (prev->compare_exchange_strong(cur_word,
+                                          rearm ? MarkedWord(node) : NodeWord(node),
                                           std::memory_order_seq_cst,
                                           std::memory_order_acquire)) {
           return true;

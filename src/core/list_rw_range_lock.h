@@ -235,6 +235,12 @@ class ListRwRangeLock {
       node->reader = reader;
       node->next.store(0, std::memory_order_relaxed);
 
+      // Unlike list_range_lock.h and list_lockfree_range_lock.h, a slow-path insertion
+      // into the empty list does NOT re-arm this fast path by publishing marked-at-head:
+      // reader and writer validation walk the list from the head (WValidate unmarks the
+      // head word without a strip CAS), and a failed validation marks the node in
+      // place, so the eager-recycle argument would not cover a validating node. The
+      // VM lock that Metis runs on is this class; it stays on the audited protocol.
       if (options_.enable_fast_path) {
         uintptr_t expected = 0;
         if (head_.load(std::memory_order_relaxed) == 0 &&

@@ -1,12 +1,17 @@
 // Minimal command-line flag parsing for the bench binaries.
 //
 // Flags take the form --name=value or --name value; bare --name is a boolean true.
-// Unknown flags are tolerated (benches print their understood flags with --help).
+// Every name a bench asks about (Has / Get*) is recorded, and RejectUnknown(), called
+// once all flags are read, exits 2 naming the first --flag nobody asked for — so a
+// typo'd flag fails loudly instead of silently running the default workload. Benches
+// print their understood flags with --help.
 #ifndef SRL_HARNESS_CLI_H_
 #define SRL_HARNESS_CLI_H_
 
 #include <cstdint>
 #include <cstdlib>
+#include <iostream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -14,13 +19,14 @@ namespace srl {
 
 class Cli {
  public:
-  Cli(int argc, char** argv) {
+  Cli(int argc, char** argv) : prog_(argc > 0 ? argv[0] : "") {
     for (int i = 1; i < argc; ++i) {
       args_.emplace_back(argv[i]);
     }
   }
 
   bool Has(const std::string& name) const {
+    queried_.insert(name);
     for (const std::string& a : args_) {
       if (a == name || a.rfind(name + "=", 0) == 0) {
         return true;
@@ -30,6 +36,7 @@ class Cli {
   }
 
   std::string GetString(const std::string& name, const std::string& def) const {
+    queried_.insert(name);
     for (std::size_t i = 0; i < args_.size(); ++i) {
       const std::string& a = args_[i];
       if (a.rfind(name + "=", 0) == 0) {
@@ -78,6 +85,22 @@ class Cli {
     return v.empty() ? def : SplitCommas(v);
   }
 
+  // Exits 2 if any --flag on the command line was never queried. Call it after the
+  // last Has/Get* and before any work. Words not starting with "--" are values (the
+  // "1,2" of "--threads 1,2") and are not checked.
+  void RejectUnknown() const {
+    for (const std::string& a : args_) {
+      if (a.rfind("--", 0) != 0) {
+        continue;
+      }
+      const std::string name = a.substr(0, a.find('='));
+      if (!queried_.contains(name)) {
+        std::cerr << prog_ << ": unknown flag " << name << " (see --help)\n";
+        std::exit(2);
+      }
+    }
+  }
+
  private:
   static std::vector<std::string> SplitCommas(const std::string& v) {
     std::vector<std::string> out;
@@ -94,7 +117,9 @@ class Cli {
     return out;
   }
 
+  std::string prog_;
   std::vector<std::string> args_;
+  mutable std::set<std::string> queried_;  // every name passed to Has / GetString
 };
 
 }  // namespace srl

@@ -90,6 +90,28 @@ TEST(CliTest, ParsesFormsAndDefaults) {
   EXPECT_EQ(cli.GetString("--missing", "x"), "x");
 }
 
+TEST(CliTest, RejectUnknownAcceptsEveryQueriedFlag) {
+  const char* argv[] = {"prog", "--secs=0.5", "--threads", "1,2", "--csv"};
+  Cli cli(5, const_cast<char**>(argv));
+  cli.GetDouble("--secs", 1.0);
+  cli.GetIntList("--threads", {8});  // "1,2" is its value, not a flag
+  cli.GetBool("--csv");
+  cli.GetBool("--quiet");  // asked for but absent: fine
+  cli.RejectUnknown();     // returns: every --flag given was asked for
+}
+
+// A typo'd flag must not silently run the default workload: the first --flag nobody
+// asked for ends the program with exit status 2 and is named on stderr.
+TEST(CliTest, RejectUnknownExitsNamingFirstUnqueriedFlag) {
+  const char* argv[] = {"prog", "--secs=0.5", "--thraeds=4", "--jsn", "out.json"};
+  Cli cli(5, const_cast<char**>(argv));
+  cli.GetDouble("--secs", 1.0);
+  cli.GetIntList("--threads", {8});
+  cli.JsonPath();
+  EXPECT_EXIT(cli.RejectUnknown(), ::testing::ExitedWithCode(2),
+              "unknown flag --thraeds ");
+}
+
 TEST(TableTest, AlignedAndCsvOutput) {
   Table t({"name", "value"});
   t.AddRow({"a", "1"});

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "src/core/list_lockfree_range_lock.h"
+#include "src/epoch/node_pool.h"
+#include "src/harness/prng.h"
 
 namespace srl {
 namespace {
@@ -167,6 +169,78 @@ TEST(ListLockFreeRangeLockTest, DestructorCollectsMarkedResidue) {
     lock.Unlock(h2);
     EXPECT_EQ(lock.DebugHeldCount(), 0);
   }  // destructor runs here
+}
+
+// Regression for the §4.5 re-arm: a bucket that went slow once (a fast holder plus a
+// disjoint holder inserted behind it, both released as marked residue) must return to
+// the fast path once one slow acquisition has swept it empty. After that, every cycle
+// must recycle its node eagerly and retire nothing, which this thread's pool sizes show
+// exactly: a slow cycle would retire the previous cycle's residue and leave its own
+// node behind in the list.
+TEST(ListLockFreeRangeLockTest, FastPathRearmsAfterContention) {
+  ListLockFreeRangeLock lock(Options{.buckets = 16, .window_shift = 4});
+  // Every range below sits in window 0, hence in one bucket.
+  auto fast = lock.Lock({0, 4});
+  auto behind = lock.Lock({8, 12});  // strips the fast holder's mark, inserts behind it
+  ASSERT_EQ(lock.DebugHeldCount(), 2) << "geometry drifted: both must share a bucket";
+  lock.Unlock(fast);
+  lock.Unlock(behind);              // neither can fast-release: marked residue
+  lock.Unlock(lock.Lock({0, 16}));  // slow: sweeps the residue, bucket empty again
+  NodePool<LNode>& pool = NodePool<LNode>::Local();
+  const std::size_t active = pool.ActiveSize();
+  const std::size_t reclaimed = pool.ReclaimedSize();
+  for (int i = 0; i < 16; ++i) {
+    lock.Unlock(lock.Lock({0, 16}));
+  }
+  EXPECT_EQ(pool.ReclaimedSize(), reclaimed) << "a cycle took the slow path";
+  EXPECT_EQ(pool.ActiveSize(), active) << "a cycle's node was not recycled eagerly";
+  EXPECT_EQ(lock.DebugHeldCount(), 0);
+}
+
+// TSan/ASan target for the re-arm publication: four threads hammer overlapping and
+// disjoint ranges of ONE window (one bucket), so the bucket keeps draining and
+// refilling — slow-path insertions publish marked heads that race strip CASes, eager
+// recycles and the fast path itself. The per-unit counters are non-atomic and written
+// only under the lock: an exclusion or publication hole shows up as a lost count (plain
+// build) or a reported race (TSan), and a use after an eager recycle as an ASan report.
+TEST(ListLockFreeRangeLockTest, SlowPathFastHeadHandoffStress) {
+  constexpr int kThreads = 4;
+  constexpr int kIters = 10000;
+  constexpr uint64_t kWindow = 16;
+  ListLockFreeRangeLock lock(Options{.buckets = 16, .window_shift = 4});
+  uint64_t units[kWindow] = {};  // non-atomic on purpose
+  std::atomic<uint64_t> expected{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Xoshiro256 rng(0x4ea7 + t);
+      uint64_t mine = 0;
+      for (int i = 0; i < kIters; ++i) {
+        // Mostly 1-2 unit ranges (often disjoint, so the bucket holds several nodes),
+        // with an occasional whole-window range that waits for all of them.
+        const uint64_t a = rng.NextBelow(kWindow - 2);
+        const Range r = rng.NextChance(0.05) ? Range{0, kWindow}
+                                             : Range{a, a + 1 + rng.NextBelow(2)};
+        auto h = lock.Lock(r);
+        for (uint64_t u = r.start; u < r.end; ++u) {
+          ++units[u];
+        }
+        lock.Unlock(h);
+        mine += r.end - r.start;
+      }
+      expected.fetch_add(mine);
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  uint64_t total = 0;
+  for (uint64_t u : units) {
+    total += u;
+  }
+  EXPECT_EQ(total, expected.load());
+  EXPECT_EQ(lock.DebugHeldCount(), 0);
+  EXPECT_TRUE(lock.DebugInvariantHolds());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "src/core/fair_list_range_lock.h"
 #include "src/core/list_range_lock.h"
+#include "src/epoch/node_pool.h"
 #include "src/harness/prng.h"
 #include "tests/common/range_oracle.h"
 #include "tests/common/test_clock.h"
@@ -173,11 +174,37 @@ TEST(ListRangeLockFastPathTest, FastPathHolderAllowsDisjoint) {
   lock.Unlock(h);
 }
 
+// Regression for the §4.5 re-arm, as in ListLockFreeRangeLockTest: once one slow
+// acquisition has swept the list empty, later cycles must be back on the fast path —
+// eager recycle, nothing retired.
+TEST(ListRangeLockFastPathTest, FastPathRearmsAfterContention) {
+  ListRangeLock lock(ListRangeLock::Options{.enable_fast_path = true});
+  auto fast = lock.Lock({0, 4});
+  auto behind = lock.Lock({8, 12});  // strips the fast holder's mark, inserts behind it
+  ASSERT_EQ(lock.DebugHeldCount(), 2);
+  lock.Unlock(fast);
+  lock.Unlock(behind);              // neither can fast-release: marked residue
+  lock.Unlock(lock.Lock({0, 16}));  // slow: sweeps the residue, list empty again
+  NodePool<LNode>& pool = NodePool<LNode>::Local();
+  const std::size_t active = pool.ActiveSize();
+  const std::size_t reclaimed = pool.ReclaimedSize();
+  for (int i = 0; i < 16; ++i) {
+    lock.Unlock(lock.Lock({0, 16}));
+  }
+  EXPECT_EQ(pool.ReclaimedSize(), reclaimed) << "a cycle took the slow path";
+  EXPECT_EQ(pool.ActiveSize(), active) << "a cycle's node was not recycled eagerly";
+  EXPECT_EQ(lock.DebugHeldCount(), 0);
+}
+
 // Randomized exclusion stress, parameterized over (threads, fast_path, fairness).
+// gtest prints a parameter without a PrintTo as its raw bytes, and that text is part
+// of the listed test name; the explicit zeroed tail keeps the would-be padding bytes
+// deterministic so the names are stable across builds.
 struct StressParam {
   int threads;
   bool fast_path;
   bool fair;
+  unsigned char reserved[2] = {};
 };
 
 class ListExStressTest : public ::testing::TestWithParam<StressParam> {};
