@@ -13,6 +13,9 @@
 // The insert-then-scan handshake on both sides is a store-buffering pattern; a seq_cst
 // fence after the insertion CAS on each side makes it impossible for both parties to
 // miss each other (free on x86, where the CAS is already a full fence).
+//
+// The insertion itself is range_list.h's Listing-1 loop driven with Listing 2's
+// compare(); the validations below walk the same list.
 #ifndef SRL_CORE_LIST_RW_RANGE_LOCK_H_
 #define SRL_CORE_LIST_RW_RANGE_LOCK_H_
 
@@ -20,17 +23,15 @@
 #include <cassert>
 #include <chrono>
 #include <cstdint>
-#include <thread>
 
 #include "src/core/lnode.h"
 #include "src/core/range.h"
+#include "src/core/range_list.h"
 #include "src/epoch/epoch_domain.h"
 #include "src/epoch/node_pool.h"
 #include "src/sync/admission.h"
 #include "src/sync/deadline.h"
 #include "src/sync/fence.h"
-#include "src/sync/pause.h"
-#include "src/sync/spin_wait.h"
 
 namespace srl {
 
@@ -46,19 +47,6 @@ class ListRwRangeLock {
   explicit ListRwRangeLock(Options options) : options_(options) {}
   ListRwRangeLock(const ListRwRangeLock&) = delete;
   ListRwRangeLock& operator=(const ListRwRangeLock&) = delete;
-
-  ~ListRwRangeLock() {
-    uintptr_t word = head_.load(std::memory_order_acquire);
-    assert(!IsMarked(word) && "range still held on the fast path at destruction");
-    LNode* cur = ToNode(word);
-    while (cur != nullptr) {
-      const uintptr_t next = cur->next.load(std::memory_order_acquire);
-      assert(IsMarked(next) && "range still held at destruction");
-      LNode* succ = ToNode(next);
-      delete cur;
-      cur = succ;
-    }
-  }
 
   // Blocks until [range.start, range.end) is held in shared (read) mode.
   Handle LockRead(const Range& range) {
@@ -112,18 +100,7 @@ class ListRwRangeLock {
   }
 
   // Releases a range acquired in either mode.
-  void Unlock(Handle node) {
-    if (options_.enable_fast_path) {
-      uintptr_t expected = MarkedWord(node);
-      if (head_.load(std::memory_order_relaxed) == expected &&
-          head_.compare_exchange_strong(expected, 0, std::memory_order_release,
-                                        std::memory_order_relaxed)) {
-        NodePool<LNode>::Local().Recycle(node);
-        return;
-      }
-    }
-    node->next.fetch_add(kMarkBit, std::memory_order_release);
-  }
+  void Unlock(Handle node) { list_.Release(node, options_.enable_fast_path); }
 
   class ReadGuard {
    public:
@@ -160,40 +137,12 @@ class ListRwRangeLock {
     return rvalidate_aborts_.load(std::memory_order_relaxed);
   }
 
-  int DebugHeldCount() const {
-    int n = 0;
-    for (LNode* cur = ToNode(head_.load(std::memory_order_acquire)); cur != nullptr;
-         cur = ToNode(cur->next.load(std::memory_order_acquire))) {
-      if (!IsMarked(cur->next.load(std::memory_order_acquire))) {
-        ++n;
-      }
-    }
-    return n;
-  }
+  int DebugHeldCount() const { return list_.HeldCount(); }
 
   // Invariant 2: held ranges sorted by start; a held writer never overlaps a successor.
-  bool DebugInvariantHolds() const {
-    const LNode* prev = nullptr;
-    for (LNode* cur = ToNode(head_.load(std::memory_order_acquire)); cur != nullptr;
-         cur = ToNode(cur->next.load(std::memory_order_acquire))) {
-      if (IsMarked(cur->next.load(std::memory_order_acquire))) {
-        continue;
-      }
-      if (prev != nullptr) {
-        if (prev->start > cur->start) {
-          return false;
-        }
-        if ((!prev->reader || !cur->reader) && prev->end > cur->start) {
-          return false;
-        }
-      }
-      prev = cur;
-    }
-    return true;
-  }
+  bool DebugInvariantHolds() const { return list_.InvariantHolds(); }
 
  private:
-
   // Listing 2's compare(): relationship of `cur` (in-list) to `node` (to insert).
   //  -1: keep traversing (cur precedes node, or reader-reader ordered by start).
   //   0: conflict involving a writer — wait for cur's release before inserting.
@@ -219,153 +168,62 @@ class ListRwRangeLock {
                    const Deadline& deadline, Handle* out) {
     assert(range.Valid() && "range locks require start < end");
     EpochDomain::ThreadRec* rec = CurrentThreadRec(EpochDomain::Global());
-    // Concurrency restriction across the whole acquisition (all validation restarts
-    // included): once yielding between watch rounds the spinner caps active contenders
-    // at ~#cores and parks the surplus, always outside the epoch critical section.
-    // Timed and immediate deadlines make it inert.
+    // Caps active contenders at ~#cores across the whole acquisition, all validation
+    // restarts included. Timed and immediate deadlines make it inert.
     AdmissionSpinner gate_spinner(&gate_, deadline);
-    int failures = 0;
+    FailureBudget budget{max_failures};
     // Writer validation failure restarts the whole acquisition with a fresh node
     // (Listing 2's do/while): the failed node is already marked inside the list and will
     // be unlinked by other traversals.
     for (;;) {
-      LNode* node = NodePool<LNode>::Local().Alloc();
-      node->start = range.start;
-      node->end = range.end;
-      node->reader = reader;
-      node->next.store(0, std::memory_order_relaxed);
-
-      // Unlike list_range_lock.h and list_lockfree_range_lock.h, a slow-path insertion
-      // into the empty list does NOT re-arm this fast path by publishing marked-at-head:
-      // reader and writer validation walk the list from the head (WValidate unmarks the
-      // head word without a strip CAS), and a failed validation marks the node in
-      // place, so the eager-recycle argument would not cover a validating node. The
-      // VM lock that Metis runs on is this class; it stays on the audited protocol.
-      if (options_.enable_fast_path) {
-        uintptr_t expected = 0;
-        if (head_.load(std::memory_order_relaxed) == 0 &&
-            head_.compare_exchange_strong(expected, MarkedWord(node),
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_relaxed)) {
-          // The list was empty, so there is nothing to validate against; later arrivals
-          // always see this node (it is the head) and defer to it as needed.
-          *out = node;
-          return true;
-        }
+      LNode* node = RangeList::NewNode(range, reader);
+      if (options_.enable_fast_path && list_.TryFastAcquire(node)) {
+        // The list was empty, so there is nothing to validate against; later arrivals
+        // always see this node (it is the head) and defer to it as needed.
+        *out = node;
+        return true;
       }
 
       EpochDomain::Enter(rec);
-      const InsertResult res =
-          InsertNode(node, rec, max_failures, deadline, &failures, gate_spinner);
-      EpochDomain::Exit(rec);
-      switch (res) {
-        case InsertResult::kAcquired:
-          *out = node;
-          return true;
-        case InsertResult::kGaveUp:
-          NodePool<LNode>::Local().Recycle(node);  // never entered the list
-          return false;
-        case InsertResult::kValidationFailed:
-          // The node is already marked in-list; other traversals unlink it. A writer
-          // whose patience or deadline is exhausted stops here; a reader only reports
-          // kValidationFailed when its deadline expired mid-validation, so the
-          // Expired() check below is what terminates it.
-          //
-          // Exactly-once pool return (audited for the lock-free-list PR): this branch
-          // must NOT Recycle — the self-deleted node is still reachable from the list,
-          // and exactly one future traversal wins the unlink CAS over it and Retires
-          // it. A Recycle here would be a double return (the try-exactness fuzz's pool
-          // conservation check catches exactly that); conversely kGaveUp above must
-          // Recycle, because a node that never entered the list has no unlinker and
-          // would otherwise leak. The self-delete itself cannot double-fire either:
-          // RValidate/WValidate mark the node at most once, on their single return
-          // false path, and only the owner ever marks an unmarked node.
-          if (max_failures >= 0 && ++failures > max_failures) {
-            return false;
-          }
-          if (deadline.Expired()) {
-            return false;
-          }
-          continue;  // retry with a fresh node
+      // rearm=false: a slow-path insertion into the empty list does NOT publish
+      // marked-at-head. Reader and writer validation walk the list from the head
+      // (WValidate unmarks the head word without a strip CAS), and a failed validation
+      // marks the node in place, so the eager-recycle argument would not cover a
+      // validating node. The VM lock that Metis runs on is this class; it stays on
+      // the audited protocol.
+      const bool inserted = list_.Insert<CompareRw>(node, /*rearm=*/false, budget, rec,
+                                                    deadline, gate_spinner);
+      bool acquired = false;
+      if (inserted) {
+        // Paired with the same fence in the conflicting party's insertion (see the
+        // file comment): both sides cannot miss each other's nodes.
+        SeqCstFence();
+        acquired = reader ? RValidate(node, rec, deadline, gate_spinner) : WValidate(node);
       }
-    }
-  }
-
-  enum class InsertResult { kAcquired, kGaveUp, kValidationFailed };
-
-  // Outcome of one watch of a conflicting node.
-  enum class WaitResult { kReleased, kRestart, kTimedOut };
-
-  InsertResult InsertNode(LNode* node, EpochDomain::ThreadRec* rec, int max_failures,
-                          const Deadline& deadline, int* failures,
-                          AdmissionSpinner& gate_spinner) {
-    for (;;) {
-      std::atomic<uintptr_t>* prev = &head_;
-      uintptr_t cur_word = prev->load(std::memory_order_acquire);
-      bool at_head = true;
-      for (;;) {
-        if (IsMarked(cur_word)) {
-          if (!at_head) {
-            if (max_failures >= 0 && ++*failures > max_failures) {
-              return InsertResult::kGaveUp;
-            }
-            break;  // prev's owner deleted — restart from head
-          }
-          if (head_.compare_exchange_weak(cur_word, Unmark(cur_word),
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-            cur_word = Unmark(cur_word);
-          }
-          continue;
-        }
-        LNode* cur = ToNode(cur_word);
-        if (cur != nullptr) {
-          const uintptr_t cur_next = cur->next.load(std::memory_order_acquire);
-          if (IsMarked(cur_next)) {
-            const uintptr_t succ = Unmark(cur_next);
-            if (prev->compare_exchange_strong(cur_word, succ, std::memory_order_acq_rel,
-                                              std::memory_order_acquire)) {
-              NodePool<LNode>::Local().Retire(cur);
-              cur_word = succ;
-            }
-            continue;
-          }
-          const int rel = CompareRw(cur, node);
-          if (rel < 0) {
-            prev = &cur->next;
-            cur_word = cur_next;
-            at_head = false;
-            continue;
-          }
-          if (rel == 0) {
-            const WaitResult w = WaitForRelease(cur, rec, deadline, gate_spinner);
-            if (w == WaitResult::kTimedOut) {
-              return InsertResult::kGaveUp;  // pre-insertion: node never entered
-            }
-            if (w == WaitResult::kRestart) {
-              break;  // epoch CS was cycled while waiting; restart from head
-            }
-            continue;
-          }
-        }
-        node->next.store(cur_word, std::memory_order_relaxed);
-        if (prev->compare_exchange_strong(cur_word, NodeWord(node),
-                                          std::memory_order_seq_cst,
-                                          std::memory_order_acquire)) {
-          // Paired with the same fence in the conflicting party's insertion (see the
-          // file comment): both sides cannot miss each other's nodes.
-          SeqCstFence();
-          if (node->reader) {
-            return RValidate(node, rec, deadline, gate_spinner)
-                       ? InsertResult::kAcquired
-                       : InsertResult::kValidationFailed;
-          }
-          return WValidate(node) ? InsertResult::kAcquired
-                                 : InsertResult::kValidationFailed;
-        }
-        if (max_failures >= 0 && ++*failures > max_failures) {
-          return InsertResult::kGaveUp;
-        }
+      EpochDomain::Exit(rec);
+      if (!inserted) {
+        NodePool<LNode>::Local().Recycle(node);  // never entered the list
+        return false;
+      }
+      if (acquired) {
+        *out = node;
+        return true;
+      }
+      // Validation failed: the node is already marked in-list; other traversals unlink
+      // it. A writer whose patience or deadline is exhausted stops here; a reader only
+      // fails validation when its deadline expired mid-validation, so the Expired()
+      // check below is what terminates it.
+      //
+      // Exactly-once pool return: this path must NOT Recycle — the self-deleted node is
+      // still reachable from the list, and exactly one future traversal wins the
+      // unlink CAS over it and Retires it. A Recycle here would be a double return (the
+      // try-exactness fuzz's pool conservation check catches exactly that); conversely
+      // the !inserted path above must Recycle, because a node that never entered the
+      // list has no unlinker and would otherwise leak. The self-delete itself cannot
+      // double-fire either: RValidate/WValidate mark the node at most once, on their
+      // single return false path, and only the owner ever marks an unmarked node.
+      if (budget.Charge() || deadline.Expired()) {
+        return false;
       }
     }
   }
@@ -405,18 +263,18 @@ class ListRwRangeLock {
           continue;
         }
         // Conflicting writer: wait for it to release, then re-examine.
-        switch (WaitForRelease(cur, rec, deadline, gate_spinner)) {
-          case WaitResult::kReleased:
+        switch (WatchForRelease(cur->next, rec, deadline, gate_spinner)) {
+          case WatchResult::kReleased:
             break;
-          case WaitResult::kRestart:
+          case WatchResult::kRestart:
             done = true;  // cycled the epoch CS; restart the scan from our own node
             break;
-          case WaitResult::kTimedOut:
+          case WatchResult::kTimedOut:
             // Timed-reader self-delete under a lost race with a writer's validate: the
             // reader is enqueued but unwilling to wait the writer out, so it releases
             // its own node exactly as an Unlock would. Ownership of the node transfers
             // to the list here — the caller must not touch it again (no Recycle; see
-            // the kValidationFailed comment in AcquireImpl), and whichever concurrent
+            // the validation-failure comment in AcquireImpl), and whichever concurrent
             // traversal — possibly that very writer's WValidate — wins the unlink CAS
             // Retires it exactly once.
             node->next.fetch_add(kMarkBit, std::memory_order_release);
@@ -431,7 +289,7 @@ class ListRwRangeLock {
   // conflicting node, self-delete and report failure.
   bool WValidate(LNode* node) {
     for (;;) {
-      std::atomic<uintptr_t>* prev = &head_;
+      std::atomic<uintptr_t>* prev = &list_.head();
       uintptr_t cur_word = Unmark(prev->load(std::memory_order_acquire));
       for (;;) {
         LNode* cur = ToNode(cur_word);
@@ -468,36 +326,7 @@ class ListRwRangeLock {
     }
   }
 
-  // Audit (wait-loop unification): bounded watch on SpinWait instead of a hand-rolled
-  // kWatchSpins CpuRelax loop; the switch to yielding signals the epoch-CS cycle, and
-  // the yield itself runs outside the CS via gate_spinner.Pause(), which also rotates
-  // the admission slot. See ListRangeLock::WaitForRelease.
-  WaitResult WaitForRelease(const LNode* cur, EpochDomain::ThreadRec* rec,
-                            const Deadline& deadline, AdmissionSpinner& gate_spinner) {
-    if (deadline.IsImmediate()) {
-      return IsMarked(cur->next.load(std::memory_order_acquire)) ? WaitResult::kReleased
-                                                                 : WaitResult::kTimedOut;
-    }
-    SpinWait spin;
-    for (int i = 0; !spin.Yielding(); ++i) {
-      if (IsMarked(cur->next.load(std::memory_order_acquire))) {
-        return WaitResult::kReleased;
-      }
-      if ((i + 1) % Deadline::kSpinsPerClockCheck == 0 && deadline.Expired()) {
-        return WaitResult::kTimedOut;
-      }
-      spin.Spin();
-    }
-    EpochDomain::Exit(rec);
-    // Yield outside the critical section — rotating the admission slot — so a
-    // preempted (or gate-parked) holder can run instead of us re-traversing for a
-    // whole quantum.
-    gate_spinner.Pause();
-    EpochDomain::Enter(rec);
-    return deadline.Expired() ? WaitResult::kTimedOut : WaitResult::kRestart;
-  }
-
-  std::atomic<uintptr_t> head_{0};
+  RangeList list_;
   std::atomic<uint64_t> rvalidate_aborts_{0};  // see DebugRValidateAborts
   Options options_;
   // Caps active contenders on the slow path (see AcquireImpl).

@@ -11,7 +11,8 @@
 // The index here adapts src/skiplist/optimistic_skiplist.h's structure to the lock's
 // own protocol. The optimistic skiplist synchronizes updates with per-node locks,
 // which a lock cannot use for its own index without recursing; instead, level 0 is
-// run exactly as the paper's Listing 1 list (see list_lockfree_range_lock.h):
+// run as the paper's Listing 1 list (range_list.h holds Listing 1 and the conflict
+// watch loop, WatchForRelease, that waiters here share):
 //
 //   * Level 0 is a Harris-style sorted-by-start list of live ranges. The single CAS
 //     that links a node into level 0 IS the acquisition — no separate lock state.
@@ -51,17 +52,15 @@
 #include <cassert>
 #include <chrono>
 #include <cstdint>
-#include <thread>
 
 #include "src/core/lnode.h"  // kMarkBit / IsMarked / Unmark word helpers
 #include "src/core/range.h"
+#include "src/core/range_list.h"
 #include "src/epoch/epoch_domain.h"
 #include "src/epoch/node_pool.h"
 #include "src/harness/prng.h"
 #include "src/sync/admission.h"
 #include "src/sync/deadline.h"
-#include "src/sync/pause.h"
-#include "src/sync/spin_wait.h"
 
 namespace srl {
 
@@ -237,8 +236,6 @@ class SkiplistRangeLock {
     return reinterpret_cast<uintptr_t>(node);
   }
 
-  enum class WaitResult { kReleased, kRestart, kTimedOut };
-
   // Positions preds[l]/succ_words[l] around `key` at every level: preds[l] is the
   // last node at level l with start < key (head_ if none), succ_words[l] the unmarked
   // word it pointed at when observed (0 at tail). Marked nodes encountered on the way
@@ -293,34 +290,6 @@ class SkiplistRangeLock {
     }
   }
 
-  // Watches `cur`'s level-0 mark until its owner releases it or the deadline
-  // expires; identical contract to list_lockfree_range_lock.h's WaitForRelease.
-  // Audit (wait-loop unification): bounded watch on SpinWait (the hand-rolled
-  // kWatchSpins loop is gone); the inter-round yield runs outside the epoch critical
-  // section via gate_spinner.Pause(), which also rotates the admission slot.
-  WaitResult WaitForRelease(const SkipLockNode* cur, EpochDomain::ThreadRec* rec,
-                            const Deadline& deadline, AdmissionSpinner& gate_spinner) {
-    if (deadline.IsImmediate()) {
-      return IsMarked(cur->next[0].load(std::memory_order_acquire))
-                 ? WaitResult::kReleased
-                 : WaitResult::kTimedOut;
-    }
-    SpinWait spin;
-    for (int i = 0; !spin.Yielding(); ++i) {
-      if (IsMarked(cur->next[0].load(std::memory_order_acquire))) {
-        return WaitResult::kReleased;
-      }
-      if ((i + 1) % Deadline::kSpinsPerClockCheck == 0 && deadline.Expired()) {
-        return WaitResult::kTimedOut;
-      }
-      spin.Spin();
-    }
-    EpochDomain::Exit(rec);
-    gate_spinner.Pause();
-    EpochDomain::Enter(rec);
-    return deadline.Expired() ? WaitResult::kTimedOut : WaitResult::kRestart;
-  }
-
   bool AcquireImpl(const Range& range, const Deadline& deadline, Handle* out) {
     assert(range.Valid() && "range locks require start < end");
     SkipLockNode* node = NodePool<SkipLockNode>::Local().Alloc();
@@ -332,9 +301,8 @@ class SkiplistRangeLock {
     SkipLockNode* preds[kMaxLevel];
     uintptr_t succs[kMaxLevel];
     EpochDomain::ThreadRec* rec = CurrentThreadRec(EpochDomain::Global());
-    // Concurrency restriction for the conflict-wait loop: once yielding between watch
-    // rounds the spinner caps active re-finders at ~#cores and parks the surplus,
-    // always outside the epoch critical section. Timed/immediate deadlines: inert.
+    // Caps active re-finders at ~#cores once they yield between watch rounds.
+    // Timed and immediate deadlines make it inert.
     AdmissionSpinner gate_spinner(&gate_, deadline);
     EpochDomain::Enter(rec);
     for (;;) {
@@ -349,8 +317,8 @@ class SkiplistRangeLock {
         conflict = succ;
       }
       if (conflict != nullptr) {
-        const WaitResult w = WaitForRelease(conflict, rec, deadline, gate_spinner);
-        if (w == WaitResult::kTimedOut) {
+        if (WatchForRelease(conflict->next[0], rec, deadline, gate_spinner) ==
+            WatchResult::kTimedOut) {
           EpochDomain::Exit(rec);
           NodePool<SkipLockNode>::Local().Recycle(node);  // never entered the index
           return false;

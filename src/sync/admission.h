@@ -180,7 +180,7 @@ class AdmissionGate {
   uint32_t Active() const { return active_.load(std::memory_order_relaxed); }
 
   // Counters for benches and tests.
-  uint64_t Parks() const { return parks_.load(std::memory_order_relaxed); }
+  uint64_t Parks() const { return parks_.load(std::memory_order_acquire); }
   uint64_t Culls() const { return culls_.load(std::memory_order_relaxed); }
   uint64_t Timeouts() const { return timeouts_.load(std::memory_order_relaxed); }
 
@@ -331,8 +331,6 @@ class AdmissionGate {
     Waiter* w = new Waiter;
     PushWaiter(shard, w);
     parked_count_.fetch_add(1, std::memory_order_seq_cst);
-    parks_.fetch_add(1, std::memory_order_relaxed);
-    total_parks_.fetch_add(1, std::memory_order_relaxed);
     // Dekker re-check against a concurrent Exit: if a slot freed after our saturation
     // check but before our push became visible, the exiter may have seen
     // parked_count == 0 and culled nobody — so cull on its behalf (possibly waking
@@ -340,6 +338,13 @@ class AdmissionGate {
     if (active_.load(std::memory_order_seq_cst) < cap_) {
       CullOne(shard);
     }
+    // Counted only after the re-check (release, paired with Parks()'s acquire), so
+    // Parks() >= k means the k-th parker has finished it: a caller that waits for
+    // Parks() and then Exit()s cannot race a parker that is still about to cull on its
+    // own behalf (which could wake it ahead of an older waiter the Exit already
+    // claimed).
+    parks_.fetch_add(1, std::memory_order_release);
+    total_parks_.fetch_add(1, std::memory_order_relaxed);
     if (deadline.IsInfinite()) {
       uint32_t s;
       while ((s = w->state.load(std::memory_order_acquire)) == kParked) {

@@ -168,6 +168,31 @@ TEST(ListLockInternalsTest, FastPathConversionHandoffStress) {
   EXPECT_EQ(lock.DebugHeldCount(), 0);
 }
 
+// list-rw must never re-arm its fast path from the slow path: its validation scans read
+// the head without a strip CAS, so a slow insertion into the empty list stays a plain
+// node, and every later cycle finds the previous cycle's marked residue, retires it and
+// leaves its own. (list-ex and list-lf re-arm instead, and then the same cycles touch
+// neither pool list: see FastPathRearmsAfterContention in their suites.)
+TEST(ListLockInternalsTest, RwSlowPathNeverRearmsFastPath) {
+  ListRwRangeLock lock(ListRwRangeLock::Options{.enable_fast_path = true});
+  auto fast = lock.LockWrite({0, 4});
+  auto behind = lock.LockWrite({8, 12});  // strips the fast holder's mark
+  ASSERT_EQ(lock.DebugHeldCount(), 2);
+  lock.Unlock(fast);
+  lock.Unlock(behind);                   // neither can fast-release: marked residue
+  lock.Unlock(lock.LockWrite({0, 16}));  // slow: sweeps the residue, list empty again
+  NodePool<LNode>& pool = NodePool<LNode>::Local();
+  const std::size_t active = pool.ActiveSize();
+  const std::size_t reclaimed = pool.ReclaimedSize();
+  for (int i = 0; i < 16; ++i) {
+    lock.Unlock(lock.LockWrite({0, 16}));
+  }
+  EXPECT_TRUE(pool.ActiveSize() != active || pool.ReclaimedSize() != reclaimed)
+      << "every cycle recycled eagerly: the slow path re-armed the fast path";
+  EXPECT_EQ(lock.DebugHeldCount(), 0);
+  EXPECT_TRUE(lock.DebugInvariantHolds());
+}
+
 // RW lock: a full-range writer alternating with page-sized readers — the exact
 // interleaving pattern of the VM subsystem's structural vs refined operations.
 TEST(ListLockInternalsTest, FullRangeWriterVsFineReaders) {

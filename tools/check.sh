@@ -41,8 +41,11 @@ read -r -a CONFIGS <<<"${CONFIGS[*]}"
 # Lock-free hot paths + the sync substrate: what TSan/ASan must stay clean on.
 # VmStructuralFuzz is the structural-VM-op battery (optimistic mm_rb walks, epoch-
 # reclaimed VMAs, range-scoped mmap/munmap); it carries the `stress` label, so the
-# ASan+UBSan pass (-LE stress) skips it while TSan races it for real.
-SANITIZED_TESTS='ListRangeLock|ListLockFree|ListRwRangeLock|FairList|LockConformance|LockFuzz|Epoch|Sync|SpinLock|TicketLock|RwSpinLock|FairRwLock|RwSemaphore|TreeRangeLock|SegmentRangeLock|RangeOracle|VmStructuralFuzz|VmFaultUnmapRace|VmStripe|VmSweep|SkiplistRangeLock|SkipList|Admission|Topology'
+# ASan+UBSan pass (-LE stress) skips it while TSan races it for real. The list-lock
+# stress sweeps, internals (helping unlink, cross-thread recycling, fast-path
+# handoff), node pools, retire lists and the VM lock suites cover the shared
+# Listing-1 core (src/core/range_list.h) under every lock built on it.
+SANITIZED_TESTS='ListRangeLock|ListLockFree|ListRwRangeLock|FairList|LockConformance|LockFuzz|Epoch|Sync|SpinLock|TicketLock|RwSpinLock|FairRwLock|RwSemaphore|TreeRangeLock|SegmentRangeLock|RangeOracle|VmStructuralFuzz|VmFaultUnmapRace|VmStripe|VmSweep|SkiplistRangeLock|SkipList|Admission|Topology|ListExStress|ListRwStress|ListLockInternals|NodePool|RetireList|VmConcurrent|VmLock'
 
 run_config() {
   local config="$1"
