@@ -30,7 +30,6 @@
 #include <iostream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/harness/cli.h"
@@ -144,7 +143,7 @@ int main(int argc, char** argv) {
     return true;
   };
 
-  const unsigned cpus = srl::Topology::Get().CpuCount();
+  const unsigned cpus = srl::CpuCount();
   std::cout << "\n=== oversubscription sweep — write throughput, admission gate "
                "on/off (" << cpus << " CPU" << (cpus == 1 ? "" : "s")
             << ", cap ~#cores) ===\n";

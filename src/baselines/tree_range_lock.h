@@ -109,7 +109,7 @@ class TreeRangeLock {
 
   // Like DebugHeldCount, but safe to poll while other threads acquire/release: counts
   // nodes (held + waiting) under the internal lock.
-  std::size_t DebugNodeCountLocked() {
+  std::size_t DebugTreeSizeLocked() {
     std::lock_guard<SpinLock> g(spin_);
     return tree_.Size();
   }

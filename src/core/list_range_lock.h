@@ -7,8 +7,8 @@
 // Differences from the pseudo-code (README sections named in parentheses):
 //   * the wait-for-overlap loop watches the conflicting node for a bounded number of
 //     spins and then briefly leaves its epoch critical section and restarts from the
-//     head, parking surplus waiters at an admission gate ("Admission control &
-//     topology"; WatchForRelease in range_list.h);
+//     head, parking surplus waiters at an admission gate ("Admission control";
+//     WatchForRelease in range_list.h);
 //   * the fast path (§4.5) is integrated behind Options::enable_fast_path, and re-arms
 //     once the list drains ("The bucketed lock-free list lock", re-arm rule);
 //   * TryLock/LockFor abort before insertion ("Non-blocking and timed acquisition");

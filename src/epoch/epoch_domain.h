@@ -25,12 +25,12 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/sync/cacheline.h"
 #include "src/sync/pause.h"
+#include "src/sync/topology.h"
 
 namespace srl {
 
@@ -252,14 +252,12 @@ class EpochDomain {
   // descheduled, so evicting early just churns sections that would have refreshed
   // themselves; with real parallelism a stuck quantum blocks reclamation for every
   // other core at once and barriers complete quickly, so eviction should come sooner.
-  // 250 ms / cores, floored at 50 ms; hardware_concurrency() == 1 reproduces the old
-  // 250 ms exactly. epoch_test asserts this derivation.
+  // 250 ms / cores, floored at 50 ms; CpuCount() == 1 reproduces the old 250 ms
+  // exactly. epoch_test asserts this derivation.
   static std::chrono::nanoseconds DefaultForceQuiesceAfter() {
-    static const std::chrono::nanoseconds v = [] {
-      const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-      return std::max(std::chrono::nanoseconds(std::chrono::milliseconds(50)),
-                      std::chrono::nanoseconds(std::chrono::milliseconds(250)) / hw);
-    }();
+    static const std::chrono::nanoseconds v =
+        std::max(std::chrono::nanoseconds(std::chrono::milliseconds(50)),
+                 std::chrono::nanoseconds(std::chrono::milliseconds(250)) / CpuCount());
     return v;
   }
 

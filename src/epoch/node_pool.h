@@ -39,11 +39,11 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/epoch/epoch_domain.h"
+#include "src/sync/topology.h"
 
 namespace srl {
 
@@ -76,11 +76,10 @@ class NodePool {
   // workloads from oscillating: any shortage resets the count. Derived from the core
   // count at first use: max(8, cores) — more running cores means more threads whose
   // open quanta stretch grace windows, so "quiet" needs a longer run-up before it is
-  // evidence of a real phase change. hardware_concurrency() == 1 reproduces the old
-  // constant 8 exactly; epoch_test asserts this derivation.
+  // evidence of a real phase change. CpuCount() == 1 reproduces the old constant 8
+  // exactly; epoch_test asserts this derivation.
   static std::size_t DecayQuietRefills() {
-    static const std::size_t v =
-        std::max<std::size_t>(8, std::max(1u, std::thread::hardware_concurrency()));
+    static const std::size_t v = std::max<std::size_t>(8, CpuCount());
     return v;
   }
 
@@ -129,6 +128,20 @@ class NodePool {
   std::size_t ActiveSize() const { return active_.size; }
   std::size_t ReclaimedSize() const { return reclaimed_.size; }
   std::size_t ParkedBatches() const { return parked_.size(); }
+  // Nodes waiting out a grace period in parked batches.
+  std::size_t ParkedSize() const {
+    std::size_t n = 0;
+    for (const Parked& p : parked_) {
+      n += p.nodes.size;
+    }
+    return n;
+  }
+  // Monotonic counts of nodes this pool took from (Replenish) and gave back to (Trim)
+  // the system allocator. active + reclaimed + parked + freed - allocated is an exact
+  // ledger: it moves only when a node passes between this pool and a lock or another
+  // thread's pool.
+  std::size_t Allocated() const { return allocated_; }
+  std::size_t Freed() const { return freed_; }
   // The learned inventory floor (kTargetSize when never ratcheted / fully decayed).
   std::size_t InventoryTarget() const { return target_; }
 
@@ -245,11 +258,13 @@ class NodePool {
     for (std::size_t i = 0; i < count; ++i) {
       Push(&active_, new T());
     }
+    allocated_ += count;
   }
 
   void Trim(std::size_t down_to) {
     while (active_.size > down_to) {
       delete Pop(&active_);
+      ++freed_;
     }
   }
 
@@ -269,6 +284,8 @@ class NodePool {
   std::size_t target_ = kTargetSize;
   // Consecutive shortage-free refills (see DecayQuietRefills()).
   std::size_t quiet_refills_ = 0;
+  std::size_t allocated_ = 0;
+  std::size_t freed_ = 0;
 };
 
 }  // namespace srl

@@ -18,11 +18,11 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/epoch/epoch_domain.h"
+#include "src/sync/topology.h"
 
 namespace srl {
 
@@ -33,12 +33,10 @@ class RetireList {
   // PR-5 carryover). The buffer is thread-local, so total deferred memory scales with
   // the thread count; shrinking the per-thread batch as cores grow keeps the
   // aggregate roughly constant and keeps grace snapshots short on busy machines:
-  // 1024 / cores, clamped to [64, 256]. hardware_concurrency() == 1 reproduces the
-  // old 256 exactly. epoch_test asserts this derivation.
+  // 1024 / cores, clamped to [64, 256]. CpuCount() == 1 reproduces the old 256
+  // exactly. epoch_test asserts this derivation.
   static std::size_t FlushThreshold() {
-    static const std::size_t v =
-        std::clamp<std::size_t>(1024 / std::max(1u, std::thread::hardware_concurrency()),
-                                64, 256);
+    static const std::size_t v = std::clamp<std::size_t>(1024 / CpuCount(), 64, 256);
     return v;
   }
   // At most this many separately-ticketed parked batches; beyond it, new batches
@@ -53,8 +51,7 @@ class RetireList {
   // 16 * cores, clamped to [64, 512] (== the old 64 up to four cores). epoch_test
   // asserts this derivation too.
   static std::size_t MaxParkedBatches() {
-    static const std::size_t v = std::clamp<std::size_t>(
-        16 * std::max(1u, std::thread::hardware_concurrency()), 64, 512);
+    static const std::size_t v = std::clamp<std::size_t>(16 * CpuCount(), 64, 512);
     return v;
   }
 

@@ -1,87 +1,25 @@
-// Machine-topology probe for core- and NUMA-aware placement decisions.
+// The machine's core count, the one topology fact this tree uses: the admission
+// gate's default cap, the default stripe count of scoped address spaces, and the
+// epoch layer's derived batch sizes and watchdog threshold all scale with it.
 //
-// Two consumers drive the shape of this interface:
-//   * AddressSpace::HomeStripe() wants a stable, cache-friendly stripe for the calling
-//     thread. Registration order (the pre-topology policy) spreads threads evenly but
-//     ignores where they actually run: two hyperthreads of one core land on different
-//     stripes while two threads of different sockets may share one. PackedIndexOf()
-//     enumerates CPUs grouped by NUMA node, so "consecutive packed indices" means
-//     "physically close" and a stripe assignment derived from it keeps a stripe's
-//     working set on one socket.
-//   * AdmissionGate prefers to cull parked waiters that run on the releaser's own node
-//     (the CNA handoff policy); it needs CurrentCpu()/NodeOfCpu() and NodeCount().
-//
-// The probe is graceful about degenerate environments: with no sysfs node directories
-// (non-Linux, containers with masked /sys) every CPU maps to node 0, and on a
-// single-core host — or when TestOnlyForceSingleCore() is set — SingleCore() reports
-// true so callers can keep their deterministic fallback policies (AddressSpace falls
-// back to registration-order round-robin, exercised by vm_stripe_test).
+// Computed once per process. glibc answers hardware_concurrency() by reading sysfs
+// (microseconds per call), and every gated lock reads the count at construction, so
+// an uncached count would put a sysfs read on every lock set-up.
 #ifndef SRL_SYNC_TOPOLOGY_H_
 #define SRL_SYNC_TOPOLOGY_H_
 
-#include <atomic>
-#include <cstdint>
-#include <vector>
+#include <thread>
 
 namespace srl {
 
-class Topology {
- public:
-  // The probed topology of this machine (probe runs once, thread-safe).
-  static const Topology& Get();
-
-  // CPU the calling thread is currently running on, or -1 when the platform cannot
-  // say (no sched_getcpu). Cheap (vDSO on Linux); callers may still want to cache it
-  // per thread when they need stability rather than currency.
-  static int CurrentCpu();
-
-  // Test hook: makes SingleCore() report true regardless of the real core count, so
-  // single-core fallback paths can be exercised deterministically on any machine.
-  static void TestOnlyForceSingleCore(bool on);
-
-  // Synthetic topology for unit tests: `node_of_cpu[c]` is the NUMA node of CPU c.
-  Topology(unsigned cpu_count, std::vector<unsigned> node_of_cpu);
-
-  unsigned CpuCount() const { return cpu_count_; }
-  unsigned NodeCount() const { return node_count_; }
-
-  // True on a one-CPU machine (or under TestOnlyForceSingleCore): locality-based
-  // placement has nothing to work with, use order-based fallbacks.
-  bool SingleCore() const {
-    return cpu_count_ <= 1 || forced_single_core_.load(std::memory_order_relaxed);
-  }
-
-  // NUMA node of a CPU (0 for out-of-range ids — a conservative answer, never UB).
-  unsigned NodeOfCpu(unsigned cpu) const {
-    return cpu < node_of_cpu_.size() ? node_of_cpu_[cpu] : 0;
-  }
-
-  // Position of `cpu` in the node-grouped enumeration: CPUs of node 0 first (ascending
-  // id), then node 1, and so on. Consecutive packed indices are physically close, so
-  // `PackedIndexOf(cpu) & (stripes - 1)` gives adjacent cores adjacent stripes and
-  // keeps one node's cores on one contiguous run of stripes.
-  unsigned PackedIndexOf(unsigned cpu) const {
-    return cpu < packed_index_.size() ? packed_index_[cpu] : 0;
-  }
-
-  // Node of the calling thread's current CPU (0 when the CPU is unknown).
-  unsigned CurrentNode() const {
-    const int cpu = CurrentCpu();
-    return cpu < 0 ? 0 : NodeOfCpu(static_cast<unsigned>(cpu));
-  }
-
- private:
-  Topology();  // real probe: hardware_concurrency + sysfs node map
-
-  void BuildPackedIndex();
-
-  static std::atomic<bool> forced_single_core_;
-
-  unsigned cpu_count_ = 1;
-  unsigned node_count_ = 1;
-  std::vector<unsigned> node_of_cpu_;   // cpu id -> node id
-  std::vector<unsigned> packed_index_;  // cpu id -> node-grouped position
-};
+// Online CPUs as hardware_concurrency() reports them, or 1 when it cannot say.
+inline unsigned CpuCount() {
+  static const unsigned n = [] {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : hw;
+  }();
+  return n;
+}
 
 }  // namespace srl
 

@@ -228,9 +228,8 @@ class AddressSpace {
   unsigned Stripes() const { return stripes_; }
   unsigned StripeOf(uint64_t addr) const { return index_.IndexOf(addr); }
   // The calling thread's home stripe (stable per thread for this space's stripe
-  // count). Multicore hosts assign it from the CPU the thread first ran on, in
-  // node-grouped enumeration order (see Topology); single-core hosts fall back to
-  // deterministic registration-order round-robin.
+  // count), assigned by registration-order round robin: the k-th thread in the
+  // process to ask gets stripe k mod Stripes().
   unsigned HomeStripe() const;
 
   // --- Introspection (each takes the full write lock; safe any time) ---

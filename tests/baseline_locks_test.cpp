@@ -101,7 +101,7 @@ TEST(TreeRangeLockTest, RequestBlocksBehindOverlappingWaiter) {
   });
   // Wait until B's range is actually in the tree (waiters are inserted before they
   // spin), so C is guaranteed to find it there.
-  ASSERT_TRUE(EventuallyTrue([&] { return lock.DebugNodeCountLocked() == 2; }));
+  ASSERT_TRUE(EventuallyTrue([&] { return lock.DebugTreeSizeLocked() == 2; }));
   std::atomic<bool> c_in{false};
   std::thread c([&] {
     auto h = lock.AcquireWrite({4, 5});

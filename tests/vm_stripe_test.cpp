@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "src/harness/prng.h"
-#include "src/sync/topology.h"
 #include "src/vm/address_space.h"
 
 namespace srl::vm {
@@ -46,18 +45,9 @@ TEST(VmStripeTest, MmapInStripeCarvesFromThatWindow) {
   EXPECT_TRUE(as.CheckInvariants());
 }
 
-// Pins the single-core fallback policy deterministically on every host: with the
-// topology probe forced to report one core, HomeStripe must ignore CPU placement and
-// use registration-order round-robin (on a real multicore host the CPU-derived
-// assignment is exercised instead and thread homes may legitimately collide).
-class ForcedSingleCore {
- public:
-  ForcedSingleCore() { Topology::TestOnlyForceSingleCore(true); }
-  ~ForcedSingleCore() { Topology::TestOnlyForceSingleCore(false); }
-};
-
+// Pins the home-stripe policy, registration-order round robin, on every host: which
+// CPUs the threads run on must not matter.
 TEST(VmStripeTest, HomeStripePolicySpreadsThreads) {
-  ForcedSingleCore forced;
   AddressSpace as(VmVariant::kListScoped, 8);
   // 8 fresh threads draw consecutive registration tokens, so their home stripes must
   // be pairwise distinct — the "scoped mmaps from different threads share no state"
@@ -81,7 +71,6 @@ TEST(VmStripeTest, HomeStripePolicySpreadsThreads) {
 }
 
 TEST(VmStripeTest, SingleCoreFallbackIsStablePerThread) {
-  ForcedSingleCore forced;
   AddressSpace as(VmVariant::kListScoped, 4);
   // Each fresh thread's home stripe is stable across calls (the registration token is
   // drawn once per thread), and sequentially spawned threads walk the stripes round
@@ -99,7 +88,7 @@ TEST(VmStripeTest, SingleCoreFallbackIsStablePerThread) {
   // one drew): distinctness over any 4-thread window follows.
   for (std::size_t i = 1; i < homes.size(); ++i) {
     EXPECT_EQ(homes[i], (homes[i - 1] + 1) % 4)
-        << "single-core fallback is not registration-order round-robin";
+        << "home stripes are not registration-order round-robin";
   }
 }
 

@@ -66,6 +66,12 @@ run_config() {
   echo "=== [$config] test ==="
   if [[ "$config" == plain ]]; then
     ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS"
+    # Race-sensitive tests, 30 repeats each with 8 running at once: a rare
+    # interleaving that one pass can miss shows up here (~3 s on 4 cores).
+    echo "=== [$config] loaded repeats ==="
+    ctest --test-dir "$build_dir" --output-on-failure \
+      -R 'TimedReaderLostRaceConservesPoolNodes|CullsServeOldestParkedWaiterFirst|VmStripeTest' \
+      --repeat until-fail:30 -j8
     if [[ "$OVERSUB" == 1 ]]; then
       # Oversubscription canary: far more threads than any CI core count, long enough
       # for the parking/cull machinery to engage. Exit status only — perf numbers from
