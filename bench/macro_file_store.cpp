@@ -25,16 +25,15 @@
 // AddressSpace mirror of the file — every record access page-faults its page, and a
 // background janitor thread periodically drops the store's resident pages
 // (MADV_DONTNEED over rotating sixteenths of the file), the way a cache server trims
-// cold regions under memory pressure. `inline` drops pages synchronously inside the
-// janitor's read acquisition (the pre-deferral shape); `deferred` enqueues them on
-// the sweep queues and lets the flush threshold batch the page-table work outside any
-// range lock. Teardown exits through MunmapAsync + DrainSweeps. Rows land in a second
-// table (same metrics, extra cold-drop/drops-sec columns) so the default table's
-// schema — and its perf_diff history — is untouched.
+// cold regions under memory pressure. `deferred` enqueues the drops on the sweep
+// queues and lets the flush threshold batch the page-table work outside any range
+// lock. Teardown exits through Munmap + DrainSweeps. Rows land in a second table (same
+// metrics, extra cold-drop/drops-sec columns) so the default table's schema — and its
+// perf_diff history — is untouched.
 //
 // Flags: --locks=skiplist-indexed,list-ex,list-lf,lustre-ex --threads=1,2,4,8
 //        --records=1048576 --zipf=0.99 --secs=0.25 --repeats=1
-//        --cold-drop=off|inline|deferred --csv --json=BENCH_file_store.json
+//        --cold-drop=off|deferred --csv --json=BENCH_file_store.json
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -204,20 +203,13 @@ uint64_t ScatterRank(uint64_t rank, uint64_t records) {
   return (rank * 0x9E3779B97F4A7C15ull) & (records - 1);
 }
 
-enum class ColdDrop { kOff, kInline, kDeferred };
-
-const char* ColdDropName(ColdDrop c) {
-  return c == ColdDrop::kInline ? "inline" : "deferred";
-}
-
 // Simulated AddressSpace mirror of the file (see the header): client record accesses
 // page-fault their page; a janitor thread trims rotating sixteenths of the file with
 // MADV_DONTNEED the way a cache server drops cold regions under memory pressure.
 class VmMirror {
  public:
-  VmMirror(uint64_t size_bytes, ColdDrop mode)
+  explicit VmMirror(uint64_t size_bytes)
       : as_(vm::VmVariant::kListScoped, 4), size_(size_bytes) {
-    as_.SetDeferredSweeps(mode == ColdDrop::kDeferred);
     base_ = as_.Mmap(size_, vm::kProtRead | vm::kProtWrite);
     janitor_ = std::thread([this] {
       const uint64_t sixteenth = size_ / 16;
@@ -233,9 +225,9 @@ class VmMirror {
 
   ~VmMirror() { Teardown(); }
 
-  // Stops the janitor and exits through the async path: the unlink is synchronous,
-  // the page sweep rides the drain. Idempotent — RunOne calls it before reading the
-  // sweep counters so the teardown flush is included.
+  // Stops the janitor and unmaps the file: the unlink is synchronous, the page sweep
+  // rides the drain. Idempotent — RunOne calls it before reading the sweep counters so
+  // the teardown flush is included.
   void Teardown() {
     if (torn_down_) {
       return;
@@ -243,7 +235,7 @@ class VmMirror {
     torn_down_ = true;
     stop_.store(true, std::memory_order_release);
     janitor_.join();
-    as_.MunmapAsync(base_, size_);
+    as_.Munmap(base_, size_);
     as_.DrainSweeps();
   }
 
@@ -267,16 +259,17 @@ struct ColdStats {
   uint64_t swept_pages = 0;
 };
 
+// A non-null `cold_stats` runs the store against a VmMirror and fills in its counters.
 template <typename LockT>
 Summary RunOne(uint64_t records, int threads, double secs, int repeats,
                const ZipfSampler& zipf, std::atomic<uint64_t>* torn,
-               ColdDrop cold = ColdDrop::kOff, ColdStats* cold_stats = nullptr) {
+               ColdStats* cold_stats = nullptr) {
   LockT adapter;
   FileStore store(records);
   std::unique_ptr<VmMirror> mirror;
   const auto mirror_start = std::chrono::steady_clock::now();
-  if (cold != ColdDrop::kOff) {
-    mirror = std::make_unique<VmMirror>(store.SizeBytes(), cold);
+  if (cold_stats != nullptr) {
+    mirror = std::make_unique<VmMirror>(store.SizeBytes());
   }
   VmMirror* mp = mirror.get();
   const Summary s = MeasureThroughputRepeated(
@@ -383,7 +376,7 @@ Summary RunOne(uint64_t records, int threads, double secs, int repeats,
         }
         return ops;
       });
-  if (mp != nullptr && cold_stats != nullptr) {
+  if (mp != nullptr) {
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - mirror_start)
             .count();
@@ -410,12 +403,12 @@ void RunLock(const std::vector<int>& threads, uint64_t records, double secs,
 // perf_diff history) is untouched.
 template <typename LockT>
 void RunLockCold(const std::vector<int>& threads, uint64_t records, double secs,
-                 int repeats, const ZipfSampler& zipf, ColdDrop cold, Table* table,
+                 int repeats, const ZipfSampler& zipf, Table* table,
                  std::atomic<uint64_t>* torn) {
   for (int t : threads) {
     ColdStats cs;
-    const Summary s = RunOne<LockT>(records, t, secs, repeats, zipf, torn, cold, &cs);
-    table->AddRow({LockT::Name(), std::to_string(t), ColdDropName(cold),
+    const Summary s = RunOne<LockT>(records, t, secs, repeats, zipf, torn, &cs);
+    table->AddRow({LockT::Name(), std::to_string(t), "deferred",
                    Table::Num(s.mean, 0), Table::Num(s.RelStddevPct(), 1),
                    Table::Num(cs.drops_per_sec, 0),
                    std::to_string(cs.swept_pages)});
@@ -430,7 +423,7 @@ int main(int argc, char** argv) {
   if (cli.Has("--help")) {
     std::cout << "macro_file_store --locks=skiplist-indexed,list-ex,list-lf,lustre-ex "
                  "--threads=1,2,4,8 --records=1048576 --zipf=0.99 --secs=0.25 "
-                 "--repeats=1 --cold-drop=off|inline|deferred --csv "
+                 "--repeats=1 --cold-drop=off|deferred --csv "
                  "--json=BENCH_file_store.json\n";
     return 0;
   }
@@ -446,12 +439,8 @@ int main(int argc, char** argv) {
   const std::string cold_arg = cli.GetString("--cold-drop", "off");
   const std::string json_path = cli.JsonPath();
   cli.RejectUnknown();
-  srl::ColdDrop cold = srl::ColdDrop::kOff;
-  if (cold_arg == "inline") {
-    cold = srl::ColdDrop::kInline;
-  } else if (cold_arg == "deferred") {
-    cold = srl::ColdDrop::kDeferred;
-  } else if (cold_arg != "off") {
+  const bool cold = cold_arg == "deferred";
+  if (!cold && cold_arg != "off") {
     std::cerr << "unknown --cold-drop mode: " << cold_arg << "\n";
     return 1;
   }
@@ -484,23 +473,23 @@ int main(int argc, char** argv) {
 
   srl::Table cold_table({"lock", "threads", "cold-drop", "ops/sec", "rel-stddev%",
                          "drops/sec", "swept-pages"});
-  if (cold != srl::ColdDrop::kOff) {
+  if (cold) {
     std::cout << "\n=== file store + VM mirror — janitor drops cold sixteenths ("
               << cold_arg << " sweeps), record accesses page-fault ===\n";
     if (want(srl::SkiplistIndexed::Name())) {
       srl::RunLockCold<srl::SkiplistIndexed>(threads, records, secs, repeats, zipf,
-                                             cold, &cold_table, &torn);
+                                             &cold_table, &torn);
     }
     if (want(srl::ListEx::Name())) {
-      srl::RunLockCold<srl::ListEx>(threads, records, secs, repeats, zipf, cold,
-                                    &cold_table, &torn);
+      srl::RunLockCold<srl::ListEx>(threads, records, secs, repeats, zipf, &cold_table,
+                                    &torn);
     }
     if (want(srl::ListLf::Name())) {
-      srl::RunLockCold<srl::ListLf>(threads, records, secs, repeats, zipf, cold,
-                                    &cold_table, &torn);
+      srl::RunLockCold<srl::ListLf>(threads, records, secs, repeats, zipf, &cold_table,
+                                    &torn);
     }
     if (want(srl::LustreEx::Name())) {
-      srl::RunLockCold<srl::LustreEx>(threads, records, secs, repeats, zipf, cold,
+      srl::RunLockCold<srl::LustreEx>(threads, records, secs, repeats, zipf,
                                       &cold_table, &torn);
     }
     cold_table.Print(std::cout, csv);
@@ -516,7 +505,7 @@ int main(int argc, char** argv) {
                  {"zipf", std::to_string(zipf_theta)},
                  {"mix", "60r/20w/10txn/10scan+fullscan"}},
                 table);
-  if (cold != srl::ColdDrop::kOff) {
+  if (cold) {
     json.AddTable({{"records", std::to_string(records)},
                    {"zipf", std::to_string(zipf_theta)},
                    {"cold_drop", cold_arg},

@@ -36,23 +36,14 @@ namespace srl {
 
 class SharedRetireList {
  public:
-  // Default pending-count threshold before MaybeFlush parks a batch. Runtime-tunable
-  // per list (SetFlushThreshold); the default follows RetireList's core-count
-  // derivation — a high-churn stripe on a big box wants smaller batches so grace
-  // snapshots stay short. bench/abl_async_unmap sweeps it together with the
-  // sweep-queue threshold.
+  // Pending-count threshold before MaybeFlush parks a batch. It follows RetireList's
+  // core-count derivation — a high-churn stripe on a big box wants smaller batches so
+  // grace snapshots stay short.
   static std::size_t DefaultFlushThreshold() { return RetireList::FlushThreshold(); }
   // Bookkeeping bound, not a memory bound — beyond it new batches coalesce into the
   // newest parked batch (ticket union) instead of blocking, exactly as RetireList
   // (whose core-count derivation this shares).
   static std::size_t MaxParkedBatches() { return RetireList::MaxParkedBatches(); }
-
-  void SetFlushThreshold(std::size_t n) {
-    flush_threshold_.store(n == 0 ? 1 : n, std::memory_order_relaxed);
-  }
-  std::size_t FlushThreshold() const {
-    return flush_threshold_.load(std::memory_order_relaxed);
-  }
 
   SharedRetireList() = default;
   ~SharedRetireList() { Flush(); }
@@ -80,8 +71,7 @@ class SharedRetireList {
   // epoch-per-quantum section on the calling thread is fine — between guards the
   // caller holds no references, and the grace snapshot skips its record).
   void MaybeFlush() {
-    if (pending_count_.load(std::memory_order_relaxed) <
-        flush_threshold_.load(std::memory_order_relaxed)) {
+    if (pending_count_.load(std::memory_order_relaxed) < DefaultFlushThreshold()) {
       return;
     }
     EpochDomain::ThreadRec* rec = CurrentThreadRec(EpochDomain::Global());
@@ -181,7 +171,6 @@ class SharedRetireList {
   }
 
   mutable SpinLock lock_;
-  std::atomic<std::size_t> flush_threshold_{DefaultFlushThreshold()};
   std::atomic<std::size_t> pending_count_{0};
   std::vector<Pending> pending_;
   std::vector<Batch> parked_;

@@ -1,7 +1,7 @@
 // Deferred page-sweep queue — the TLB-batching analogue for the simulated VM.
 //
-// A munmap (or MADV_DONTNEED) that must drop pages no longer sweeps the page table
-// inline under its range acquisition: it enqueues the dead page range here and returns.
+// A munmap (or MADV_DONTNEED) that must drop pages does not sweep the page table under
+// its range acquisition: it enqueues the dead page range here and returns.
 // An epoch-tick flusher (AddressSpace::MaybeFlushSweeps / DrainSweeps) later claims the
 // accumulated ranges and sweeps the page table outside any range lock, so the length of
 // a structural op's critical section stops growing with the size of the region it

@@ -268,15 +268,6 @@ bool AddressSpace::ApplyMunmapLocked(uint64_t s, uint64_t e, unsigned lo, unsign
 }
 
 bool AddressSpace::Munmap(uint64_t addr, uint64_t length) {
-  return MunmapImpl(addr, length,
-                    deferred_sweeps_ ? SweepPolicy::kDeferred : SweepPolicy::kInline);
-}
-
-bool AddressSpace::MunmapAsync(uint64_t addr, uint64_t length) {
-  return MunmapImpl(addr, length, SweepPolicy::kAsync);
-}
-
-bool AddressSpace::MunmapImpl(uint64_t addr, uint64_t length, SweepPolicy policy) {
   if (length == 0) {
     return false;
   }
@@ -287,21 +278,6 @@ bool AddressSpace::MunmapImpl(uint64_t addr, uint64_t length, SweepPolicy policy
     // addr+length wrapped past the top of the address space: the range denotes
     // nothing, and Range{s, e} would violate the locks' start < end contract.
     return false;
-  }
-  if (speculate_unmap_lookup_) {
-    // Probe phase under a read acquisition: if the range maps nothing, the answer is
-    // stable (see SetUnmapLookupSpeculation) and no write lock is ever taken.
-    bool any_overlap;
-    {
-      void* rh = lock_->LockRead({s, e});
-      EpochGuard guard(EpochDomain::Global());
-      any_overlap = AnyMappingInRange(s, e);
-      lock_->UnlockRead(rh);
-    }
-    if (!any_overlap) {
-      stats_.unmap_lookup_fastpath.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
   }
   if (scoped_structural_) {
     // Every byte whose mapping changes lies in [s, e); the one-page pad covers the
@@ -321,15 +297,10 @@ bool AddressSpace::MunmapImpl(uint64_t addr, uint64_t length, SweepPolicy policy
         const bool any = ApplyMunmapLocked(s, e, si, si, &expected);
         st.UnlockMutate();
         if (any && expected > 0) {
-          if (policy == SweepPolicy::kInline) {
-            // The pre-deferral shape: probe the whole region under the acquisition.
-            pages_.RemoveRange(s / kPageSize, e / kPageSize);
-          } else {
-            // Enqueue strictly after the seqcount bump (UnlockMutate above closed the
-            // write section), so every flush of this range is ordered after the bump —
-            // the deferred half of the install-then-validate ordering argument.
-            EnqueueSweepRange(s, e, expected);
-          }
+          // Enqueue strictly after the seqcount bump (UnlockMutate above closed the
+          // write section), so every flush of this range is ordered after the bump —
+          // the deferred half of the install-then-validate ordering argument.
+          EnqueueSweepRange(s, e, expected);
         } else if (any) {
           stats_.sweeps_skipped_empty.fetch_add(1, std::memory_order_relaxed);
         }
@@ -337,9 +308,7 @@ bool AddressSpace::MunmapImpl(uint64_t addr, uint64_t length, SweepPolicy policy
         stats_.scoped_structural.fetch_add(1, std::memory_order_relaxed);
         stats_.stripe(si).scoped_structural.fetch_add(1, std::memory_order_relaxed);
         st.MaybeFlushRetired();
-        if (policy == SweepPolicy::kDeferred) {
-          MaybeFlushSweeps(si);
-        }
+        MaybeFlushSweeps(si);
         return any;
       }
       case RangeClass::kCrossStripe:
@@ -360,20 +329,14 @@ bool AddressSpace::MunmapImpl(uint64_t addr, uint64_t length, SweepPolicy policy
   const bool any = ApplyMunmapLocked(s, e, lo, hi, &expected);
   index_.UnlockMutateRange(lo, hi);
   if (any && expected > 0) {
-    if (policy == SweepPolicy::kInline) {
-      pages_.RemoveRange(s / kPageSize, e / kPageSize);
-    } else {
-      EnqueueSweepRange(s, e, expected);
-    }
+    EnqueueSweepRange(s, e, expected);
   } else if (any) {
     stats_.sweeps_skipped_empty.fetch_add(1, std::memory_order_relaxed);
   }
   lock_->UnlockWrite(h);
   index_.MaybeFlushRetired(lo, hi);
-  if (policy == SweepPolicy::kDeferred) {
-    for (unsigned i = lo; i <= hi; ++i) {
-      MaybeFlushSweeps(i);
-    }
+  for (unsigned i = lo; i <= hi; ++i) {
+    MaybeFlushSweeps(i);
   }
   return any;
 }
@@ -500,12 +463,6 @@ void AddressSpace::SetSweepFlushThreshold(uint64_t pages) {
   }
 }
 
-void AddressSpace::SetRetireFlushThreshold(std::size_t n) {
-  for (unsigned i = 0; i < stripes_; ++i) {
-    index_.Stripe(i).SetRetireFlushThreshold(n);
-  }
-}
-
 AddressSpace::RangeClass AddressSpace::ClassifyStructuralRange(uint64_t s, uint64_t e,
                                                                unsigned* si,
                                                                uint64_t* ls,
@@ -540,19 +497,6 @@ AddressSpace::RangeClass AddressSpace::ClassifyStructuralRange(uint64_t s, uint6
   *ls = lo;
   *le = hi;
   return RangeClass::kScoped;
-}
-
-bool AddressSpace::AnyMappingInRange(uint64_t s, uint64_t e) {
-  const unsigned lo = index_.IndexOf(s);
-  const unsigned hi = index_.IndexOf(e - 1);
-  for (unsigned i = lo; i <= hi; ++i) {
-    const VmaStripe& st = index_.Stripe(i);
-    Vma* v = scoped_structural_ ? st.FindOptimistic(s, &stats_) : st.Find(s);
-    if (v != nullptr && v->Start() < e) {
-      return true;
-    }
-  }
-  return false;
 }
 
 bool AddressSpace::ApplyMprotectLocked(uint64_t s, uint64_t e, uint32_t prot,
@@ -855,12 +799,10 @@ bool AddressSpace::PageFaultLocked(uint64_t addr, bool is_write, uint64_t page_a
       stats_.stripe(index_.IndexOf(page_addr))
           .major_faults.fetch_add(1, std::memory_order_relaxed);
     }
-    if (deferred_sweeps_) {
-      // The page is (re-)validated present under a mapping: punch it out of any
-      // still-pending DONTNEED sweep so the deferred erase cannot undo this fault
-      // (the madvise/fault repopulation contract — see SweepQueue::CancelPending).
-      sweeps_[index_.IndexOf(page_addr)].value.CancelPending(page);
-    }
+    // The page is (re-)validated present under a mapping: punch it out of any
+    // still-pending DONTNEED sweep so the deferred erase cannot undo this fault (the
+    // madvise/fault repopulation contract — see SweepQueue::CancelPending).
+    sweeps_[index_.IndexOf(page_addr)].value.CancelPending(page);
   } else {
     stats_.fault_errors.fetch_add(1, std::memory_order_relaxed);
   }
@@ -1044,16 +986,14 @@ int AddressSpace::PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t pag
     if (installed) {
       sstats.major_faults.fetch_add(1, std::memory_order_relaxed);
     }
-    if (deferred_sweeps_) {
-      // WINNING fault only: the unchanged seqcount proves the mapping stayed live
-      // from walk through validate, so any still-pending sweep covering this page is
-      // a DONTNEED on the live mapping — punch the page out so the deferred erase
-      // cannot undo a fault that completed after the madvise call (the repopulation
-      // contract; see SweepQueue::CancelPending). A LOSER must not cancel: its stale
-      // walk may have found the VMA a munmap just unlinked, and cancelling there
-      // would disarm the munmap's own sweep and strand a pre-munmap install.
-      sweeps_[si].value.CancelPending(page);
-    }
+    // WINNING fault only: the unchanged seqcount proves the mapping stayed live from
+    // walk through validate, so any still-pending sweep covering this page is a
+    // DONTNEED on the live mapping — punch the page out so the deferred erase cannot
+    // undo a fault that completed after the madvise call (the repopulation contract;
+    // see SweepQueue::CancelPending). A LOSER must not cancel: its stale walk may have
+    // found the VMA a munmap just unlinked, and cancelling there would disarm the
+    // munmap's own sweep and strand a pre-munmap install.
+    sweeps_[si].value.CancelPending(page);
     sstats.fault_spec_ok.fetch_add(1, std::memory_order_relaxed);
     return 1;
   }
@@ -1105,20 +1045,14 @@ bool AddressSpace::MadviseDontNeed(uint64_t addr, uint64_t length) {
     return false;  // wrapped range
   }
   // MADV_DONTNEED runs under the read acquisition in the kernel: it only drops pages.
-  // Deferred mode enqueues the drop instead (see the header for the exact contract —
-  // only pre-call installs are guaranteed gone, and only once the sweep flushes). No
-  // present_hint is decremented: the hint is an upper bound and only a fault's own
-  // exact undo may lower it.
+  // The drop is enqueued (see the header for the exact contract — only pre-call
+  // installs are guaranteed gone, and only once the sweep flushes). No present_hint is
+  // decremented: the hint is an upper bound and only a fault's own exact undo may
+  // lower it.
   void* h = lock_->LockRead(refine_fault_ ? Range{s, e} : Range::Full());
-  if (deferred_sweeps_) {
-    EnqueueSweepRange(s, e);
-  } else {
-    pages_.RemoveRange(s / kPageSize, e / kPageSize);
-  }
+  EnqueueSweepRange(s, e);
   lock_->UnlockRead(h);
-  if (deferred_sweeps_) {
-    MaybeFlushSweeps(index_.IndexOf(s));
-  }
+  MaybeFlushSweeps(index_.IndexOf(s));
   return true;
 }
 

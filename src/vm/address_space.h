@@ -143,19 +143,12 @@ class AddressSpace {
   // Unmaps [addr, addr+length). Splits partially covered VMAs, exactly like the kernel.
   // Returns false if the range touches no mapping.
   //
-  // The VMA unlink and the stripe-seqcount bump are always synchronous (they are the
-  // fence the speculative-fault ordering argument needs); the page-table sweep is, by
-  // default, deferred to the per-stripe SweepQueue and flushed at operation boundaries
-  // once the queue crosses its threshold — the kernel's TLB-batching shape. With
-  // SetDeferredSweeps(false) the sweep runs inline under the write lock (the pre-
-  // deferral behaviour; bench/abl_async_unmap compares the two).
+  // The VMA unlink and the stripe-seqcount bump are synchronous (they are the fence the
+  // speculative-fault ordering argument needs); the page-table sweep is deferred to the
+  // per-stripe SweepQueue and flushed at operation boundaries once the queue crosses
+  // its threshold — the kernel's TLB-batching shape. Pages of the range are guaranteed
+  // gone only after the covering sweep flushes; DrainSweeps gives the hard edge.
   bool Munmap(uint64_t addr, uint64_t length);
-
-  // As Munmap, but never flushes: the dead range is enqueued and the call returns with
-  // the sweep wholly outstanding, to be paid by a later threshold flush or a
-  // DrainSweeps. Defers even when SetDeferredSweeps(false) — this entry point IS the
-  // async request. Use when unmap latency matters more than page-table tightness.
-  bool MunmapAsync(uint64_t addr, uint64_t length);
 
   // Changes protection of [addr, addr+length). Returns false if the range is not fully
   // covered by existing mappings (ENOMEM in the kernel).
@@ -176,26 +169,17 @@ class AddressSpace {
 
   // MADV_DONTNEED semantics: drops the pages of [addr, addr+length) so the next touch
   // faults again. Used by the arena allocator's trim path (glibc frees trimmed pages).
-  // Runs under a read acquisition like the kernel's madvise. Under deferred sweeps the
-  // drop is enqueued, not immediate: pages installed before the call are guaranteed
-  // gone only after the covering sweep flushes (DrainSweeps gives the hard edge), and
-  // a fault racing the call may legitimately re-install a page afterwards — the same
-  // contract Linux gives a fault racing madvise(MADV_DONTNEED).
+  // Runs under a read acquisition like the kernel's madvise, and enqueues the drop
+  // exactly like Munmap: pages installed before the call are guaranteed gone only
+  // after the covering sweep flushes (DrainSweeps gives the hard edge), and a fault
+  // racing the call may legitimately re-install a page afterwards — the same contract
+  // Linux gives a fault racing madvise(MADV_DONTNEED).
   bool MadviseDontNeed(uint64_t addr, uint64_t length);
 
   // --- Deferred-sweep control -----------------------------------------------------
 
-  // Default on: Munmap/MadviseDontNeed enqueue their page sweeps (see Munmap). Off
-  // restores the inline sweep under the range acquisition.
-  void SetDeferredSweeps(bool on) { deferred_sweeps_ = on; }
-  bool DeferredSweeps() const { return deferred_sweeps_; }
-
   // Pages a stripe's queue accumulates before an operation boundary flushes it.
   void SetSweepFlushThreshold(uint64_t pages);
-  // Batch size of the per-stripe VMA retire lists (SharedRetireList); forwarded to
-  // every stripe. Exposed alongside the sweep threshold because both were originally
-  // fixed constants guessed on one core.
-  void SetRetireFlushThreshold(std::size_t n);
 
   // Drain barrier: flushes every stripe's queue, waits out every in-flight fault (an
   // epoch barrier — a losing fault that handed its undo to a pending sweep, or a stale
@@ -207,17 +191,6 @@ class AddressSpace {
 
   // Pages enqueued and not yet swept, summed over stripes (racy; tests/benches).
   uint64_t PendingSweepPages() const;
-
-  // Extension of the paper's §5.2 closing remark (left as future work there): munmap
-  // "starts from calling find_vma, during which the range lock can be held in the read
-  // mode". When enabled, Munmap first probes [addr, addr+length) under a read
-  // acquisition; if nothing is mapped there the call completes without ever taking a
-  // write lock. This is sound because boundary-moving (speculative) mprotects never
-  // change the union of mapped addresses, and every operation that does (mmap/munmap/
-  // structural mprotect) write-locks the bytes it changes, which our read acquisition
-  // excludes. Measured by bench/abl_unmap_spec. Off by default (off in the paper too).
-  // Only meaningful for refined/scoped variants; ignored for stock.
-  void SetUnmapLookupSpeculation(bool on) { speculate_unmap_lookup_ = on; }
 
   const VmStats& Stats() const { return stats_; }
   VmLock& Lock() { return *lock_; }
@@ -269,7 +242,7 @@ class AddressSpace {
     test_spec_window_yields_ = window_yields;
   }
 
-  // With deferred sweeps, the losing-fault undo must consult the sweep queue and use
+  // Sweeps are deferred, so the losing-fault undo must consult the sweep queue and use
   // its install ticket (see PageFaultOptimistic): a pending sweep covering the page
   // makes the undo the flusher's job, and an already-claimed sweep may have erased and
   // let a winning fault re-install the page — which a blind Remove would destroy,
@@ -309,10 +282,6 @@ class AddressSpace {
   // 0 when the window cannot fit `size` more bytes. The carved region never extends
   // past the window end, so no VMA ever straddles a stripe edge.
   uint64_t CarveFromStripe(unsigned si, uint64_t size);
-
-  // True if [s, e) overlaps any mapping. Caller holds a read acquisition covering
-  // [s, e) (and is inside an epoch critical section when scoped).
-  bool AnyMappingInRange(uint64_t s, uint64_t e);
 
   // VMA lookup for read-side paths, confined to `addr`'s stripe (a covering VMA never
   // straddles a stripe edge, so its stripe is the address's stripe). Scoped variants
@@ -359,11 +328,6 @@ class AddressSpace {
   bool ApplyMunmapLocked(uint64_t s, uint64_t e, unsigned lo, unsigned hi,
                          uint64_t* expected_present);
 
-  // Shared Munmap/MunmapAsync body; `flush_policy` selects inline sweep, deferred
-  // sweep with threshold flush, or pure enqueue (async).
-  enum class SweepPolicy { kInline, kDeferred, kAsync };
-  bool MunmapImpl(uint64_t addr, uint64_t length, SweepPolicy policy);
-
   // Splits the page-aligned byte range [s, e) at stripe-window edges and enqueues each
   // piece on its stripe's sweep queue (counting stats); every piece carries the full
   // `expected` present-page bound (an upper bound for each). Caller may hold range
@@ -402,8 +366,6 @@ class AddressSpace {
   bool refine_fault_;
   bool refine_mprotect_;
   bool scoped_structural_;
-  bool speculate_unmap_lookup_ = false;
-  bool deferred_sweeps_ = true;
   bool test_validate_before_install_ = false;  // test-only; see the hook above
   bool test_undo_sweep_check_ = true;          // test-only; see the hook above
   uint32_t test_spec_window_yields_ = 0;

@@ -52,7 +52,6 @@ struct VmStats {
   std::atomic<uint64_t> spec_success{0};   // mprotect completed on the speculative path
   std::atomic<uint64_t> spec_retries{0};   // seq/boundary validation failed, retried
   std::atomic<uint64_t> spec_fallback{0};  // structural change forced the structural path
-  std::atomic<uint64_t> unmap_lookup_fastpath{0};  // munmap resolved under a read lock
   // Range-scoped structural ops (kTreeScoped / kListScoped): structural mutations that
   // completed under a write lock covering only the affected range (padded one page),
   // vs. the classify-then-fallback cases that had to degrade to a full-range write.
@@ -65,8 +64,8 @@ struct VmStats {
   // mutation and retried.
   std::atomic<uint64_t> find_retries{0};
   // Deferred page sweeps (see README "Deferred page sweeps"): dead page ranges queued
-  // instead of swept inline, enqueues that coalesced with already-queued ranges, pages
-  // actually erased by the flusher, flush passes run, and sweeps skipped outright
+  // by munmap and MADV_DONTNEED, enqueues that coalesced with already-queued ranges,
+  // pages actually erased by the flusher, flush passes run, and sweeps skipped outright
   // because the dying VMA's present-page hint proved it never faulted a page.
   std::atomic<uint64_t> sweeps_queued{0};         // ranges enqueued
   std::atomic<uint64_t> sweeps_queued_pages{0};   // pages enqueued (pre-coalescing)

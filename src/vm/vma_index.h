@@ -126,8 +126,6 @@ class VmaStripe {
 
   // --- Deferred reclamation ---
   void MaybeFlushRetired() { retire_.MaybeFlush(); }
-  // Tunes this stripe's retire-list batch size (see SharedRetireList::DefaultFlushThreshold()).
-  void SetRetireFlushThreshold(std::size_t n) { retire_.SetFlushThreshold(n); }
 
   // --- Iteration / introspection (caller excludes this stripe's mutators) ---
   Vma* First() const { return tree_.First(); }

@@ -219,10 +219,11 @@ TEST_P(VmFaultUnmapRaceTest, BrokenValidateBeforeInstallIsCaught) {
 
   auto run_leg = [&](bool validate_before_install) {
     AddressSpace as(GetParam().variant, GetParam().stripes);
-    // Inline sweeps: this leg demonstrates the PRE-deferral ordering bug, where the
-    // drain edge is Munmap's return itself. (BrokenUndoSweepCheckIsCaught below is the
-    // deferred-sweep counterpart.)
-    as.SetDeferredSweeps(false);
+    // Threshold 1: Munmap flushes its own one-page sweep before it returns, so its
+    // return is the drain edge and a page present afterwards is a stale install the
+    // sweep missed. Without it the sweep stays queued and the control leg would see
+    // the unswept page. (BrokenUndoSweepCheckIsCaught below covers the undo side.)
+    as.SetSweepFlushThreshold(1);
     as.TestOnlySetSpecFaultOrdering(validate_before_install, kWindowYields);
     std::atomic<uint64_t> pub_base{0};
     std::atomic<bool> stop{false};

@@ -1,12 +1,10 @@
-// Tests for the VmLock adapters: semantics per kind, wait-stats instrumentation, and
-// the munmap lookup-speculation extension.
+// Tests for the VmLock adapters: semantics per kind and wait-stats instrumentation.
 #include <atomic>
 #include <chrono>
 #include <thread>
 
 #include <gtest/gtest.h>
 
-#include "src/vm/address_space.h"
 #include "src/vm/vm_lock.h"
 #include "tests/common/test_clock.h"
 
@@ -15,8 +13,6 @@ namespace {
 
 using namespace std::chrono_literals;
 using srl::testing::StaysFalse;
-
-constexpr uint64_t kPage = AddressSpace::kPageSize;
 
 class VmLockTest : public ::testing::TestWithParam<VmLockKind> {};
 
@@ -99,65 +95,6 @@ INSTANTIATE_TEST_SUITE_P(Kinds, VmLockTest,
                          [](const ::testing::TestParamInfo<VmLockKind>& info) {
                            return VmLockKindName(info.param);
                          });
-
-TEST(UnmapSpeculationTest, MissingUnmapResolvesOnReadPath) {
-  AddressSpace as(VmVariant::kListRefined);
-  as.SetUnmapLookupSpeculation(true);
-  const uint64_t a = as.Mmap(4 * kPage, kProtRead);
-  EXPECT_FALSE(as.Munmap(a + (1u << 16) * kPage, kPage));  // far past any mapping
-  EXPECT_EQ(as.Stats().unmap_lookup_fastpath.load(), 1u);
-  // A real unmap still works and takes the full path.
-  EXPECT_TRUE(as.Munmap(a, 4 * kPage));
-  EXPECT_EQ(as.Stats().unmap_lookup_fastpath.load(), 1u);
-  EXPECT_TRUE(as.SnapshotVmas().empty());
-  EXPECT_TRUE(as.CheckInvariants());
-}
-
-TEST(UnmapSpeculationTest, MissingUnmapDoesNotBlockBehindReaders) {
-  AddressSpace as(VmVariant::kListRefined);
-  as.SetUnmapLookupSpeculation(true);
-  const uint64_t a = as.Mmap(4 * kPage, kProtRead);
-  // Hold a refined read (a page fault in flight) — a full-range write would block
-  // behind it, but the speculative miss must not.
-  void* rh = as.Lock().LockRead({a, a + kPage});
-  std::atomic<bool> done{false};
-  std::thread t([&] {
-    as.Munmap(a + (1u << 16) * kPage, kPage);  // miss
-    done.store(true);
-  });
-  t.join();  // completes while the read is still held
-  EXPECT_TRUE(done.load());
-  as.Lock().UnlockRead(rh);
-}
-
-TEST(UnmapSpeculationTest, ConcurrentStressStaysConsistent) {
-  AddressSpace as(VmVariant::kListRefined);
-  as.SetUnmapLookupSpeculation(true);
-  std::atomic<bool> ok{true};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < 200; ++i) {
-        const uint64_t r = as.Mmap(2 * kPage, kProtRead | kProtWrite);
-        if (r == 0 || !as.PageFault(r, true)) {
-          ok.store(false);
-          return;
-        }
-        as.Munmap(r + (1u << 18) * kPage, kPage);  // miss probe
-        if (!as.Munmap(r, 2 * kPage)) {            // real unmap
-          ok.store(false);
-          return;
-        }
-      }
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  EXPECT_TRUE(ok.load());
-  EXPECT_TRUE(as.CheckInvariants());
-  EXPECT_GT(as.Stats().unmap_lookup_fastpath.load(), 0u);
-}
 
 }  // namespace
 }  // namespace srl::vm

@@ -100,9 +100,6 @@ struct PageOracle {
 
 TEST_P(VmStructuralFuzzTest, SequentialMixMatchesOracle) {
   AddressSpace as(GetParam().variant, GetParam().stripes);
-  // Unmap-lookup speculation stays off here (the concurrent battery covers it): the
-  // read-path probe would short-circuit missing unmaps before they can reach the
-  // scoped classify-then-fallback path this battery wants to exercise.
   Xoshiro256 rng(0x5eed + static_cast<uint64_t>(GetParam().variant) * 8 +
                  GetParam().stripes);
   PageOracle oracle;
@@ -208,7 +205,6 @@ TEST_P(VmStructuralFuzzTest, MergeAbsorbingWideNeighbourFallsBack) {
 // disjoint-range structural churn, while a checker thread validates global invariants.
 TEST_P(VmStructuralFuzzTest, ConcurrentStructuralMixKeepsInvariants) {
   AddressSpace as(GetParam().variant, GetParam().stripes);
-  as.SetUnmapLookupSpeculation(true);
   constexpr int kThreads = 4;
   constexpr int kCycles = 4000;
   constexpr uint64_t kArenaPages = 48;
@@ -273,8 +269,7 @@ TEST_P(VmStructuralFuzzTest, ConcurrentStructuralMixKeepsInvariants) {
             return;
           }
         } else if (roll < 0.65) {
-          // Miss-unmap: nothing is ever mapped there (read-path fast exit when the
-          // unmap-lookup speculation is on).
+          // Miss-unmap: nothing is ever mapped there.
           if (as.Munmap(nowhere + rng.NextBelow(512) * kPage, kPage)) {
             ok.store(false);
             return;

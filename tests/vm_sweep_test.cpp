@@ -512,31 +512,6 @@ TEST_P(VmSweepTest, CrossStripeMunmapSplitsTheSweepAtTheWindowEdge) {
   EXPECT_TRUE(as.CheckInvariants());
 }
 
-TEST_P(VmSweepTest, InlineModeRestoresSynchronousSemantics) {
-  AddressSpace as(GetParam().variant, GetParam().stripes);
-  as.SetDeferredSweeps(false);
-  const uint64_t base = as.Mmap(4 * kPage, kProtRead | kProtWrite);
-  ASSERT_NE(base, 0u);
-  for (uint64_t p = 0; p < 4; ++p) {
-    ASSERT_TRUE(as.PageFault(base + p * kPage, true));
-  }
-  ASSERT_TRUE(as.MadviseDontNeed(base, 2 * kPage));
-  EXPECT_EQ(as.PresentPagesInRange(base, 2 * kPage), 0u);
-  ASSERT_TRUE(as.Munmap(base, 4 * kPage));
-  EXPECT_EQ(as.PresentPagesInRange(base, 4 * kPage), 0u);
-  EXPECT_EQ(as.PendingSweepPages(), 0u);
-  EXPECT_EQ(as.Stats().sweeps_queued.load(), 0u);
-  // MunmapAsync defers regardless of the mode switch — it IS the async entry point.
-  const uint64_t base2 = as.Mmap(2 * kPage, kProtRead | kProtWrite);
-  ASSERT_NE(base2, 0u);
-  ASSERT_TRUE(as.PageFault(base2, true));
-  ASSERT_TRUE(as.MunmapAsync(base2, 2 * kPage));
-  EXPECT_EQ(as.PresentPagesInRange(base2, kPage), 1u);
-  as.DrainSweeps();
-  EXPECT_EQ(as.PresentPagesInRange(base2, kPage), 0u);
-  EXPECT_TRUE(as.CheckInvariants());
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, VmSweepTest,
     ::testing::Values(SweepParam{VmVariant::kStock, 1},

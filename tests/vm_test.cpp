@@ -65,23 +65,14 @@ TEST_P(VmSemanticsTest, MunmapDropsPages) {
   EXPECT_EQ(as_.PresentPages(), 0u);
 }
 
-TEST_P(VmSemanticsTest, InlineSweepsDropPagesAtMunmapReturn) {
-  as_.SetDeferredSweeps(false);
-  const uint64_t a = as_.Mmap(4 * kPage, kProtRead | kProtWrite);
-  EXPECT_TRUE(as_.PageFault(a, true));
-  EXPECT_TRUE(as_.Munmap(a, 4 * kPage));
-  EXPECT_EQ(as_.PresentPages(), 0u) << "inline mode sweeps under the write lock";
-  EXPECT_EQ(as_.Stats().sweeps_queued.load(), 0u);
-}
-
-TEST_P(VmSemanticsTest, MunmapAsyncDefersTheSweep) {
+TEST_P(VmSemanticsTest, MunmapDefersTheSweepUntilDrain) {
   const uint64_t a = as_.Mmap(4 * kPage, kProtRead | kProtWrite);
   EXPECT_TRUE(as_.PageFault(a, true));
   EXPECT_TRUE(as_.PageFault(a + kPage, true));
-  EXPECT_TRUE(as_.MunmapAsync(a, 4 * kPage));
+  EXPECT_TRUE(as_.Munmap(a, 4 * kPage));
   EXPECT_TRUE(as_.SnapshotVmas().empty()) << "the unlink itself is synchronous";
   EXPECT_EQ(as_.PendingSweepPages(), 4u);
-  EXPECT_EQ(as_.PresentPages(), 2u) << "async munmap never flushes in-call";
+  EXPECT_EQ(as_.PresentPages(), 2u) << "a sweep below the flush threshold stays queued";
   as_.DrainSweeps();
   EXPECT_EQ(as_.PendingSweepPages(), 0u);
   EXPECT_EQ(as_.PresentPages(), 0u);
