@@ -13,8 +13,8 @@
 //   adversarial   every op takes the whole address space (Range::Full() write) — zero
 //                 range parallelism, the mmap_sem worst case the gate exists for;
 //   hot           all threads churn one 4 KiB window — same-stripe conflict chains
-//                 exercising the per-bucket waiter gates inside the list/skiplist
-//                 backends (the stock semaphore ignores ranges and sees adversarial);
+//                 exercising the per-bucket waiter gates inside the list backends
+//                 (the stock semaphore ignores ranges and sees adversarial);
 //   disjoint      each thread owns a private 64 KiB-aligned window — the control: no
 //                 waiting, so the gate must cost nothing (<= a few % at t <= cores).
 //
@@ -22,7 +22,7 @@
 // park/cull counters — parks > 0 is the proof the gate actually engaged, parks == 0
 // on disjoint the proof it stayed out of the way.
 //
-// Flags: --variants=stock,tree,list,list-lf,skiplist --mixes=adversarial,hot,disjoint
+// Flags: --variants=stock,tree,list,list-lf --mixes=adversarial,hot,disjoint
 //        --threads=8,16,32,64,128,256,512,1024 --gates=on,off --secs=0.15 --repeats=1
 //        --csv --json=BENCH_oversub.json
 #include <atomic>
@@ -94,14 +94,14 @@ Cell RunCell(vm::VmLockKind kind, Mix mix, int threads, double secs, int repeats
 int main(int argc, char** argv) {
   srl::Cli cli(argc, argv);
   if (cli.Has("--help")) {
-    std::cout << "abl_oversub --variants=stock,tree,list,list-lf,skiplist "
+    std::cout << "abl_oversub --variants=stock,tree,list,list-lf "
                  "--mixes=adversarial,hot,disjoint "
                  "--threads=8,16,32,64,128,256,512,1024 --gates=on,off "
                  "--secs=0.15 --repeats=1 --csv --json=BENCH_oversub.json\n";
     return 0;
   }
   const std::vector<std::string> variants =
-      cli.GetStringList("--variants", {"stock", "tree", "list", "list-lf", "skiplist"});
+      cli.GetStringList("--variants", {"stock", "tree", "list", "list-lf"});
   const std::vector<std::string> mixes =
       cli.GetStringList("--mixes", {"adversarial", "hot", "disjoint"});
   const std::vector<int> threads =
@@ -123,8 +123,6 @@ int main(int argc, char** argv) {
       *out = VmLockKind::kList;
     } else if (v == "list-lf") {
       *out = VmLockKind::kListLockFree;
-    } else if (v == "skiplist") {
-      *out = VmLockKind::kSkiplistIndexed;
     } else {
       return false;
     }

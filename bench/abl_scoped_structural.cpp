@@ -18,6 +18,11 @@
 //     mapping share stripe 0 — cross-thread same-stripe churn, the worst case the
 //     home-stripe policy is meant to avoid. Only meaningful for stripes > 1.
 //
+// The mmap cursor never reuses addresses, so a long enough run (or a large enough
+// --scratch-pages) uses up a churn stripe's window. MmapInStripe then returns 0 or
+// carves from a neighbouring stripe, and the cycles stop measuring what they claim;
+// the bench names the variant and the stripe that ran out and exits 1.
+//
 // Reported per (variant, threads, stripes, mode): churn cycles/sec, fault throughput,
 // the scoped-structural rate (VmStats), cross-stripe fallbacks, and the ranged vs full
 // write-acquisition split (VmLock counters). A second table reports per-stripe
@@ -62,6 +67,7 @@ struct RunResult {
   uint64_t ranged_writes = 0;     // write acquisitions on a proper sub-range
   uint64_t full_writes = 0;       // write acquisitions on Range::Full()
   unsigned reader_stripe = 0;
+  int exhausted_stripe = -1;      // a churn stripe whose window ran out, or -1
   std::vector<StripeCounters> per_stripe;
 };
 
@@ -77,6 +83,7 @@ RunResult RunOne(VmVariant variant, int churners, int readers, double secs, int 
   const uint64_t base = as.MmapInStripe(reader_stripe, pages * AddressSpace::kPageSize,
                                         vm::kProtRead | vm::kProtWrite);
   std::atomic<uint64_t> fault_ops{0};
+  std::atomic<int> exhausted_stripe{-1};
   // Worker tids [0, churners) churn; the rest fault. Only churn cycles count as ops,
   // so the Summary is churn throughput; fault throughput is derived from the atomic.
   const Summary s = MeasureThroughputRepeated(
@@ -88,6 +95,10 @@ RunResult RunOne(VmVariant variant, int churners, int readers, double secs, int 
             const uint64_t scratch = as.MmapInStripe(
                 my_stripe, scratch_pages * AddressSpace::kPageSize,
                 vm::kProtRead | vm::kProtWrite);
+            if (scratch == 0 || as.StripeOf(scratch) != my_stripe) {
+              exhausted_stripe.store(static_cast<int>(my_stripe), std::memory_order_relaxed);
+              break;
+            }
             as.PageFault(scratch, true);
             as.Munmap(scratch, scratch_pages * AddressSpace::kPageSize);
             ++ops;
@@ -114,6 +125,7 @@ RunResult RunOne(VmVariant variant, int churners, int readers, double secs, int 
   r.ranged_writes = as.Lock().RangedWriteAcquisitions();
   r.full_writes = as.Lock().FullWriteAcquisitions();
   r.reader_stripe = reader_stripe;
+  r.exhausted_stripe = exhausted_stripe.load(std::memory_order_relaxed);
   for (unsigned i = 0; i < n; ++i) {
     const vm::VmStripeStats& ss = as.Stats().stripe(i);
     r.per_stripe.push_back({ss.fault_spec_ok.load(), ss.fault_spec_retry.load(),
@@ -180,6 +192,13 @@ int main(int argc, char** argv) {
           const srl::RunResult r =
               srl::RunOne(variant, t, readers, secs, repeats, pages, scratch_pages,
                           static_cast<unsigned>(stripes), same);
+          if (r.exhausted_stripe >= 0) {
+            std::cerr << "abl_scoped_structural: " << name << ": churn stripe "
+                      << r.exhausted_stripe
+                      << " ran out of addresses; lower --scratch-pages, --secs or "
+                         "--repeats\n";
+            return 1;
+          }
           table.AddRow(
               {name, std::to_string(t), std::to_string(stripes), mode,
                srl::Table::Num(r.churn_per_sec.mean, 0),

@@ -16,7 +16,10 @@
 // adversarial control with churn and mapping sharing stripe 0. Reported per
 // (variant, threads, stripes, mode): fault throughput, trylock success rate, the
 // fraction of faults resolved entirely lock-free (spec-ok%), the speculative retries
-// charged to the mapping's stripe, and total churn cycles.
+// charged to the mapping's stripe, and total churn cycles. The mmap cursor never
+// reuses addresses, so a long enough run uses up stripe 0's window; MmapInStripe then
+// returns 0 or carves from a neighbour (in disjoint mode, the faulters' stripe), and
+// the bench names the variant and the stripe that ran out and exits 1.
 //
 // Flags: --variants=stock,tree-full,tree-refined,tree-scoped,list-full,list-refined,
 //        list-scoped,list-lf-full,list-lf-scoped
@@ -46,6 +49,7 @@ struct RunResult {
   double spec_rate = 0.0;
   uint64_t fault_stripe_retries = 0;  // spec retries charged to the mapping's stripe
   uint64_t churn_cycles = 0;
+  bool churn_exhausted = false;  // stripe 0's window ran out
 };
 
 RunResult RunOne(VmVariant variant, int fault_threads, double secs, int repeats,
@@ -57,6 +61,7 @@ RunResult RunOne(VmVariant variant, int fault_threads, double secs, int repeats,
   const uint64_t base = as.MmapInStripe(map_stripe, pages * AddressSpace::kPageSize,
                                         vm::kProtRead | vm::kProtWrite);
   std::atomic<uint64_t> churn_cycles{0};
+  std::atomic<bool> churn_exhausted{false};
   // Worker tids [0, fault_threads) fault; tid == fault_threads churns in stripe 0.
   // Only fault completions count as ops, so the throughput number is faults/sec.
   const Summary s = MeasureThroughputRepeated(
@@ -66,6 +71,10 @@ RunResult RunOne(VmVariant variant, int fault_threads, double secs, int repeats,
           while (!stop.load(std::memory_order_relaxed)) {
             const uint64_t scratch = as.MmapInStripe(
                 0, 2 * AddressSpace::kPageSize, vm::kProtRead | vm::kProtWrite);
+            if (scratch == 0 || as.StripeOf(scratch) != 0) {
+              churn_exhausted.store(true, std::memory_order_relaxed);
+              break;
+            }
             as.Munmap(scratch, 2 * AddressSpace::kPageSize);
             churn_cycles.fetch_add(1, std::memory_order_relaxed);
             for (uint64_t i = 0; i < churn_pause; ++i) {
@@ -89,6 +98,7 @@ RunResult RunOne(VmVariant variant, int fault_threads, double secs, int repeats,
   r.fault_stripe_retries =
       as.Stats().stripe(map_stripe).fault_spec_retry.load(std::memory_order_relaxed);
   r.churn_cycles = churn_cycles.load(std::memory_order_relaxed);
+  r.churn_exhausted = churn_exhausted.load(std::memory_order_relaxed);
   return r;
 }
 
@@ -143,6 +153,12 @@ int main(int argc, char** argv) {
           const srl::RunResult r =
               srl::RunOne(variant, t, secs, repeats, pages, churn_pause,
                           static_cast<unsigned>(stripes), same);
+          if (r.churn_exhausted) {
+            std::cerr << "abl_trylock: " << name
+                      << ": churn stripe 0 ran out of addresses; lower --secs or "
+                         "--repeats\n";
+            return 1;
+          }
           table.AddRow({name, std::to_string(t), std::to_string(stripes), mode,
                         srl::Table::Num(r.faults_per_sec.mean, 0),
                         srl::Table::Num(r.faults_per_sec.RelStddevPct(), 1),

@@ -5,8 +5,8 @@
 // That is invisible in the paper's VM workloads — an address space rarely holds more
 // than a few ranges at once — but fatal for the "and beyond" use case of range locks
 // as a storage-engine primitive, where a file store keeps thousands of record and scan
-// ranges live simultaneously (bench/macro_file_store.cpp is that workload, and
-// bench/abl_listlen.cpp measures the curve directly).
+// ranges live simultaneously. bench/abl_listlen.cpp measures that curve: with K
+// disjoint ranges held, the lists' probe cost grows linearly and this lock's does not.
 //
 // The index here adapts src/skiplist/optimistic_skiplist.h's structure to the lock's
 // own protocol. The optimistic skiplist synchronizes updates with per-node locks,

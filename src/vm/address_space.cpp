@@ -56,10 +56,6 @@ VariantConfig ConfigFor(VmVariant v) {
       return {VmLockKind::kListLockFree, false, false, false};
     case VmVariant::kListLfScoped:
       return {VmLockKind::kListLockFree, true, true, true};
-    case VmVariant::kSkiplistFull:
-      return {VmLockKind::kSkiplistIndexed, false, false, false};
-    case VmVariant::kSkiplistScoped:
-      return {VmLockKind::kSkiplistIndexed, true, true, true};
   }
   return {VmLockKind::kStock, false, false, false};
 }
@@ -102,10 +98,6 @@ const char* VmVariantName(VmVariant v) {
       return "list-lf-full";
     case VmVariant::kListLfScoped:
       return "list-lf-scoped";
-    case VmVariant::kSkiplistFull:
-      return "skiplist-full";
-    case VmVariant::kSkiplistScoped:
-      return "skiplist-scoped";
   }
   return "?";
 }

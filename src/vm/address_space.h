@@ -81,10 +81,8 @@ enum class VmVariant {
   kListMprotect,  // list lock, speculative mprotect only (Figure 6 breakdown)
   kTreeScoped,    // tree lock, refined + range-scoped structural ops
   kListScoped,    // list lock, refined + range-scoped structural ops
-  kListLfFull,      // lock-free bucketed list lock, always full range
-  kListLfScoped,    // lock-free bucketed list lock, refined + range-scoped structural ops
-  kSkiplistFull,    // skiplist-indexed lock, always full range
-  kSkiplistScoped,  // skiplist-indexed lock, refined + range-scoped structural ops
+  kListLfFull,    // lock-free bucketed list lock, always full range
+  kListLfScoped,  // lock-free bucketed list lock, refined + range-scoped structural ops
 };
 
 const char* VmVariantName(VmVariant v);
@@ -95,8 +93,7 @@ inline constexpr VmVariant kAllVmVariants[] = {
     VmVariant::kStock,        VmVariant::kTreeFull,    VmVariant::kTreeRefined,
     VmVariant::kListFull,     VmVariant::kListRefined, VmVariant::kListPf,
     VmVariant::kListMprotect, VmVariant::kTreeScoped,  VmVariant::kListScoped,
-    VmVariant::kListLfFull,   VmVariant::kListLfScoped, VmVariant::kSkiplistFull,
-    VmVariant::kSkiplistScoped,
+    VmVariant::kListLfFull,   VmVariant::kListLfScoped,
 };
 
 // Reverse of VmVariantName over kAllVmVariants. Returns kStock with *ok = false when
@@ -196,6 +193,8 @@ class AddressSpace {
   VmLock& Lock() { return *lock_; }
   VmVariant Variant() const { return variant_; }
   bool ScopedStructural() const { return scoped_structural_; }
+  // Metadata-only mprotects take the speculative path of Listing 4 (§5.2).
+  bool RefinedMprotect() const { return refine_mprotect_; }
 
   // --- Stripe introspection ---
   unsigned Stripes() const { return stripes_; }

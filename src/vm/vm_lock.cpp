@@ -144,44 +144,6 @@ class ListLockFreeVmLock final : public VmLock {
   ListLockFreeRangeLock lock_;
 };
 
-// Exclusive skiplist-indexed backend; reads served as writes like ListLockFreeVmLock
-// (and safe for AddressSpace by the same no-nested-overlap argument). No geometry to
-// pick: the skiplist stores exact byte ranges, so there is no window/bucket trade-off
-// — precision and O(log n) acquire come from the index itself.
-class SkiplistVmLock final : public VmLock {
- public:
-  const char* Name() const override { return "skiplist"; }
-
- protected:
-  void* DoLockRead(const Range& r) override { return lock_.Lock(r); }
-  void* DoLockWrite(const Range& r) override { return lock_.Lock(r); }
-  bool DoTryLockRead(const Range& r, void** out) override {
-    SkiplistRangeLock::Handle h = nullptr;
-    if (!lock_.TryLock(r, &h)) {
-      return false;
-    }
-    *out = h;
-    return true;
-  }
-  bool DoTryLockWrite(const Range& r, void** out) override {
-    SkiplistRangeLock::Handle h = nullptr;
-    if (!lock_.TryLock(r, &h)) {
-      return false;
-    }
-    *out = h;
-    return true;
-  }
-  void DoUnlockRead(void* h) override {
-    lock_.Unlock(static_cast<SkiplistRangeLock::Handle>(h));
-  }
-  void DoUnlockWrite(void* h) override {
-    lock_.Unlock(static_cast<SkiplistRangeLock::Handle>(h));
-  }
-
- private:
-  SkiplistRangeLock lock_;
-};
-
 }  // namespace
 
 std::unique_ptr<VmLock> MakeVmLock(VmLockKind kind) {
@@ -194,8 +156,6 @@ std::unique_ptr<VmLock> MakeVmLock(VmLockKind kind) {
       return std::make_unique<ListVmLock>();
     case VmLockKind::kListLockFree:
       return std::make_unique<ListLockFreeVmLock>();
-    case VmLockKind::kSkiplistIndexed:
-      return std::make_unique<SkiplistVmLock>();
   }
   return nullptr;
 }
@@ -210,8 +170,6 @@ const char* VmLockKindName(VmLockKind kind) {
       return "list";
     case VmLockKind::kListLockFree:
       return "list-lf";
-    case VmLockKind::kSkiplistIndexed:
-      return "skiplist";
   }
   return "?";
 }

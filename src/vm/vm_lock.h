@@ -7,9 +7,6 @@
 //   list          the paper's reader-writer list-based range lock
 //   list-lf       bucketed lock-free exclusive list lock (reads served as writes, the
 //                 lustre-ex pattern; disjoint ranges hit disjoint bucket heads)
-//   skiplist      skiplist-indexed exclusive range lock (reads served as writes);
-//                 O(log n) acquire in the live-range count, the backend for
-//                 address spaces holding thousands of ranges at once
 //
 // Instrumentation: attach a WaitStats sink to measure acquisition wait time (read vs
 // write), reproducing the lock_stat measurements of Figure 7. TreeVmLock additionally
@@ -35,7 +32,6 @@
 #include "src/core/list_lockfree_range_lock.h"
 #include "src/core/list_rw_range_lock.h"
 #include "src/core/range.h"
-#include "src/core/skiplist_range_lock.h"
 #include "src/harness/wait_stats.h"
 #include "src/sync/admission.h"
 #include "src/sync/rw_semaphore.h"
@@ -43,11 +39,10 @@
 namespace srl::vm {
 
 enum class VmLockKind {
-  kStock,            // reader-writer semaphore (mmap_sem)
-  kTree,             // tree-based range lock
-  kList,             // list-based range lock
-  kListLockFree,     // bucketed lock-free exclusive list lock
-  kSkiplistIndexed,  // skiplist-indexed exclusive range lock
+  kStock,         // reader-writer semaphore (mmap_sem)
+  kTree,          // tree-based range lock
+  kList,          // list-based range lock
+  kListLockFree,  // bucketed lock-free exclusive list lock
 };
 
 class VmLock {

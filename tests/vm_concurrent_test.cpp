@@ -91,9 +91,7 @@ TEST_P(VmConcurrentTest, DisjointArenasKeepPerThreadSemantics) {
   // mprotects — the paper measured >99% for this pattern; the first split per arena is
   // the only structural one per thread plus rare validation retries.
   const VmStats& st = as.Stats();
-  if (GetParam() == VmVariant::kListRefined || GetParam() == VmVariant::kTreeRefined ||
-      GetParam() == VmVariant::kListMprotect || GetParam() == VmVariant::kTreeScoped ||
-      GetParam() == VmVariant::kListScoped) {
+  if (as.RefinedMprotect()) {
     EXPECT_GT(st.SpeculationSuccessRate(), 0.95)
         << "spec=" << st.spec_success.load() << " fallback=" << st.spec_fallback.load()
         << " retries=" << st.spec_retries.load();

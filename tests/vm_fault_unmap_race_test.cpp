@@ -352,14 +352,11 @@ INSTANTIATE_TEST_SUITE_P(
                       RaceParam{VmVariant::kListRefined, 1},
                       RaceParam{VmVariant::kListLfScoped, 1},
                       RaceParam{VmVariant::kListLfFull, 1},
-                      RaceParam{VmVariant::kSkiplistScoped, 1},
-                      RaceParam{VmVariant::kSkiplistFull, 1},
                       // Multi-stripe spaces: the install-then-validate ordering must
                       // hold per stripe, with generations spread across all four.
                       RaceParam{VmVariant::kTreeScoped, 4},
                       RaceParam{VmVariant::kListScoped, 4},
-                      RaceParam{VmVariant::kListLfScoped, 4},
-                      RaceParam{VmVariant::kSkiplistScoped, 4}),
+                      RaceParam{VmVariant::kListLfScoped, 4}),
     VariantTestName);
 
 }  // namespace

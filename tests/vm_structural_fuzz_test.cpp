@@ -430,11 +430,7 @@ TEST_P(VmStructuralFuzzTest, MprotectDuringFaultTornReadOracle) {
       << "a read fault on the never-unmapped, always-readable anchor pages failed — "
          "the transient-gap bug (walk observed a mid-boundary-move hole)";
   EXPECT_TRUE(as.CheckInvariants());
-  const VmVariant v = GetParam().variant;
-  if (v == VmVariant::kTreeRefined || v == VmVariant::kListRefined ||
-      v == VmVariant::kListMprotect || v == VmVariant::kTreeScoped ||
-      v == VmVariant::kListScoped || v == VmVariant::kListLfScoped ||
-      v == VmVariant::kSkiplistScoped) {
+  if (as.RefinedMprotect()) {
     // The flips must really have exercised the metadata-only speculative path.
     EXPECT_GT(as.Stats().spec_success.load(), 0u);
   }
@@ -449,7 +445,6 @@ std::vector<FuzzParam> AllFuzzParams() {
   params.push_back({VmVariant::kTreeScoped, 4});
   params.push_back({VmVariant::kListScoped, 4});
   params.push_back({VmVariant::kListLfScoped, 4});
-  params.push_back({VmVariant::kSkiplistScoped, 4});
   return params;
 }
 

@@ -224,10 +224,7 @@ TEST_P(VmSemanticsTest, ArenaPatternSpeculates) {
   ASSERT_EQ(vmas.size(), 2u);
   EXPECT_EQ(vmas[0], (VmaInfo{a, a + 4 * kPage, kProtRead | kProtWrite}));
   const auto& st = as_.Stats();
-  if (GetParam() == VmVariant::kListRefined || GetParam() == VmVariant::kTreeRefined ||
-      GetParam() == VmVariant::kListMprotect || GetParam() == VmVariant::kTreeScoped ||
-      GetParam() == VmVariant::kListScoped || GetParam() == VmVariant::kListLfScoped ||
-      GetParam() == VmVariant::kSkiplistScoped) {
+  if (as_.RefinedMprotect()) {
     // 28 of 29 mprotects are boundary moves; only the first split is structural.
     EXPECT_EQ(st.spec_success.load(), 28u);
     EXPECT_EQ(st.spec_fallback.load(), 1u);

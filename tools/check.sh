@@ -78,7 +78,7 @@ run_config() {
       # shared runners are not judged here (see tools/perf_diff.py for trajectories).
       echo "=== [$config] oversubscription smoke ==="
       "$build_dir/bench/abl_oversub" \
-        --variants=stock,tree,list,list-lf,skiplist --mixes=adversarial \
+        --variants=stock,tree,list,list-lf --mixes=adversarial \
         --threads=64 --gates=on,off --secs=0.2 --repeats=1
     fi
   elif [[ "$config" == thread ]]; then
