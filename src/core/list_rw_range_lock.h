@@ -15,7 +15,10 @@
 // miss each other (free on x86, where the CAS is already a full fence).
 //
 // The insertion itself is range_list.h's Listing-1 loop driven with Listing 2's
-// compare(); the validations below walk the same list.
+// compare(); the validations below walk the same list. AcquireIn runs the whole
+// protocol on a caller-supplied RangeList, so a lock that partitions its key space over
+// several lists (the VM lock's per-stripe heads, src/vm/vm_lock.cpp) runs this one copy
+// of Listings 2 and 3 in each list it covers.
 #ifndef SRL_CORE_LIST_RW_RANGE_LOCK_H_
 #define SRL_CORE_LIST_RW_RANGE_LOCK_H_
 
@@ -102,6 +105,80 @@ class ListRwRangeLock {
   // Releases a range acquired in either mode.
   void Unlock(Handle node) { list_.Release(node, options_.enable_fast_path); }
 
+  // Listing 2's acquisition loop and Listing 3's validation on `list`. A caller that
+  // acquires one range in several lists calls this once per list, in one global order,
+  // with one `gate_spinner` and `budget` spanning the whole acquisition; a writer that
+  // fails validation in one list retries in that list only. On success *out is the
+  // node, to be released with list.Release(*out, fast_path). On failure nothing is held
+  // in `list`: a node that failed validation is already marked there and the list owns
+  // it. `rvalidate_aborts` (may be null) counts timed readers that self-deleted inside
+  // RValidate.
+  static bool AcquireIn(RangeList& list, const Range& range, bool reader, bool fast_path,
+                        FailureBudget& budget, const Deadline& deadline,
+                        AdmissionSpinner& gate_spinner, Handle* out,
+                        std::atomic<uint64_t>* rvalidate_aborts = nullptr) {
+    assert(range.Valid() && "range locks require start < end");
+    EpochDomain::ThreadRec* rec = CurrentThreadRec(EpochDomain::Global());
+    // Writer validation failure restarts the whole acquisition with a fresh node
+    // (Listing 2's do/while): the failed node is already marked inside the list and will
+    // be unlinked by other traversals.
+    for (;;) {
+      LNode* node = RangeList::NewNode(range, reader);
+      if (fast_path && list.TryFastAcquire(node)) {
+        // The list was empty, so there is nothing to validate against; later arrivals
+        // always see this node (it is the head) and defer to it as needed.
+        *out = node;
+        return true;
+      }
+
+      EpochDomain::Enter(rec);
+      // rearm=false: a slow-path insertion into the empty list does NOT publish
+      // marked-at-head. Reader and writer validation walk the list from the head
+      // (WValidate unmarks the head word without a strip CAS), and a failed validation
+      // marks the node in place, so the eager-recycle argument would not cover a
+      // validating node. The VM lock that Metis runs on is this protocol; it stays on
+      // the audited path.
+      const bool inserted = list.Insert<CompareRw>(node, /*rearm=*/false, budget, rec,
+                                                   deadline, gate_spinner);
+      bool acquired = false;
+      if (inserted) {
+        // Paired with the same fence in the conflicting party's insertion (see the
+        // file comment): both sides cannot miss each other's nodes.
+        SeqCstFence();
+        acquired = reader ? RValidate(node, rec, deadline, gate_spinner)
+                          : WValidate(list, node);
+      }
+      EpochDomain::Exit(rec);
+      if (!inserted) {
+        NodePool<LNode>::Local().Recycle(node);  // never entered the list
+        return false;
+      }
+      if (acquired) {
+        *out = node;
+        return true;
+      }
+      if (reader && rvalidate_aborts != nullptr) {
+        rvalidate_aborts->fetch_add(1, std::memory_order_relaxed);
+      }
+      // Validation failed: the node is already marked in-list; other traversals unlink
+      // it. A writer whose patience or deadline is exhausted stops here; a reader only
+      // fails validation when its deadline expired mid-validation, so the Expired()
+      // check below is what terminates it.
+      //
+      // Exactly-once pool return: this path must NOT Recycle — the self-deleted node is
+      // still reachable from the list, and exactly one future traversal wins the
+      // unlink CAS over it and Retires it. A Recycle here would be a double return (the
+      // try-exactness fuzz's pool conservation check catches exactly that); conversely
+      // the !inserted path above must Recycle, because a node that never entered the
+      // list has no unlinker and would otherwise leak. The self-delete itself cannot
+      // double-fire either: RValidate/WValidate mark the node at most once, on their
+      // single return false path, and only the owner ever marks an unmarked node.
+      if (budget.Charge() || deadline.Expired()) {
+        return false;
+      }
+    }
+  }
+
   class ReadGuard {
    public:
     ReadGuard(ListRwRangeLock& lock, const Range& range)
@@ -166,66 +243,12 @@ class ListRwRangeLock {
 
   bool AcquireImpl(const Range& range, bool reader, int max_failures,
                    const Deadline& deadline, Handle* out) {
-    assert(range.Valid() && "range locks require start < end");
-    EpochDomain::ThreadRec* rec = CurrentThreadRec(EpochDomain::Global());
     // Caps active contenders at ~#cores across the whole acquisition, all validation
     // restarts included. Timed and immediate deadlines make it inert.
     AdmissionSpinner gate_spinner(&gate_, deadline);
     FailureBudget budget{max_failures};
-    // Writer validation failure restarts the whole acquisition with a fresh node
-    // (Listing 2's do/while): the failed node is already marked inside the list and will
-    // be unlinked by other traversals.
-    for (;;) {
-      LNode* node = RangeList::NewNode(range, reader);
-      if (options_.enable_fast_path && list_.TryFastAcquire(node)) {
-        // The list was empty, so there is nothing to validate against; later arrivals
-        // always see this node (it is the head) and defer to it as needed.
-        *out = node;
-        return true;
-      }
-
-      EpochDomain::Enter(rec);
-      // rearm=false: a slow-path insertion into the empty list does NOT publish
-      // marked-at-head. Reader and writer validation walk the list from the head
-      // (WValidate unmarks the head word without a strip CAS), and a failed validation
-      // marks the node in place, so the eager-recycle argument would not cover a
-      // validating node. The VM lock that Metis runs on is this class; it stays on
-      // the audited protocol.
-      const bool inserted = list_.Insert<CompareRw>(node, /*rearm=*/false, budget, rec,
-                                                    deadline, gate_spinner);
-      bool acquired = false;
-      if (inserted) {
-        // Paired with the same fence in the conflicting party's insertion (see the
-        // file comment): both sides cannot miss each other's nodes.
-        SeqCstFence();
-        acquired = reader ? RValidate(node, rec, deadline, gate_spinner) : WValidate(node);
-      }
-      EpochDomain::Exit(rec);
-      if (!inserted) {
-        NodePool<LNode>::Local().Recycle(node);  // never entered the list
-        return false;
-      }
-      if (acquired) {
-        *out = node;
-        return true;
-      }
-      // Validation failed: the node is already marked in-list; other traversals unlink
-      // it. A writer whose patience or deadline is exhausted stops here; a reader only
-      // fails validation when its deadline expired mid-validation, so the Expired()
-      // check below is what terminates it.
-      //
-      // Exactly-once pool return: this path must NOT Recycle — the self-deleted node is
-      // still reachable from the list, and exactly one future traversal wins the
-      // unlink CAS over it and Retires it. A Recycle here would be a double return (the
-      // try-exactness fuzz's pool conservation check catches exactly that); conversely
-      // the !inserted path above must Recycle, because a node that never entered the
-      // list has no unlinker and would otherwise leak. The self-delete itself cannot
-      // double-fire either: RValidate/WValidate mark the node at most once, on their
-      // single return false path, and only the owner ever marks an unmarked node.
-      if (budget.Charge() || deadline.Expired()) {
-        return false;
-      }
-    }
+    return AcquireIn(list_, range, reader, options_.enable_fast_path, budget, deadline,
+                     gate_spinner, out, &rvalidate_aborts_);
   }
 
   // Listing 3, r_validate: scan forward from our node; wait out any conflicting writer.
@@ -233,8 +256,8 @@ class ListRwRangeLock {
   // in this scheme). Under an immediate or expired deadline the reader aborts instead of
   // waiting: it is already enqueued, so it self-deletes — marks its own node exactly
   // like a release would — and returns false; later traversals unlink and reclaim it.
-  bool RValidate(LNode* node, EpochDomain::ThreadRec* rec, const Deadline& deadline,
-                 AdmissionSpinner& gate_spinner) {
+  static bool RValidate(LNode* node, EpochDomain::ThreadRec* rec,
+                        const Deadline& deadline, AdmissionSpinner& gate_spinner) {
     for (;;) {
       std::atomic<uintptr_t>* prev = &node->next;
       uintptr_t cur_word = Unmark(prev->load(std::memory_order_acquire));
@@ -274,11 +297,10 @@ class ListRwRangeLock {
             // reader is enqueued but unwilling to wait the writer out, so it releases
             // its own node exactly as an Unlock would. Ownership of the node transfers
             // to the list here — the caller must not touch it again (no Recycle; see
-            // the validation-failure comment in AcquireImpl), and whichever concurrent
+            // the validation-failure comment in AcquireIn), and whichever concurrent
             // traversal — possibly that very writer's WValidate — wins the unlink CAS
             // Retires it exactly once.
             node->next.fetch_add(kMarkBit, std::memory_order_release);
-            rvalidate_aborts_.fetch_add(1, std::memory_order_relaxed);
             return false;
         }
       }
@@ -287,9 +309,9 @@ class ListRwRangeLock {
 
   // Listing 3, w_validate: re-scan from the head to our own node. On meeting any
   // conflicting node, self-delete and report failure.
-  bool WValidate(LNode* node) {
+  static bool WValidate(RangeList& list, LNode* node) {
     for (;;) {
-      std::atomic<uintptr_t>* prev = &list_.head();
+      std::atomic<uintptr_t>* prev = &list.head();
       uintptr_t cur_word = Unmark(prev->load(std::memory_order_acquire));
       for (;;) {
         LNode* cur = ToNode(cur_word);

@@ -109,7 +109,7 @@ AddressSpace::AddressSpace(VmVariant variant, unsigned stripes)
   refine_mprotect_ = cfg.refine_mprotect;
   scoped_structural_ = cfg.scoped_structural;
   stripes_ = index_.StripeCount();
-  lock_ = MakeVmLock(cfg.kind);
+  lock_ = MakeVmLock(cfg.kind, stripes_);
   stats_.ConfigureStripes(stripes_);
   // kPageSize is 2^12; the page table's stripe bits sit kStripeShift - 12 up from the
   // window origin (kMmapBase is not span-aligned, so the origin must be subtracted).

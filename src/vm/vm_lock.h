@@ -4,7 +4,7 @@
 // Variants (names follow the paper):
 //   stock         RwSemaphore; ranges ignored, whole-address-space semantics
 //   tree          kernel tree-based range lock (Bueso's patch, ported)
-//   list          the paper's reader-writer list-based range lock
+//   list          the paper's reader-writer list-based range lock, one list per stripe
 //   list-lf       bucketed lock-free exclusive list lock (reads served as writes, the
 //                 lustre-ex pattern; disjoint ranges hit disjoint bucket heads)
 //
@@ -12,15 +12,30 @@
 // write), reproducing the lock_stat measurements of Figure 7. TreeVmLock additionally
 // exposes the internal spin-lock wait sink for Figure 8.
 //
-// Striped address spaces: range semantics are unchanged — a Range is a byte range, and
-// the lock neither knows nor cares about stripe boundaries. What changes is the
-// contract AddressSpace builds on top: a full-range write acquisition (LockFullWrite)
-// excludes every scoped writer and locked reader in ANY stripe, and the cross-stripe
-// fallback path pairs it with the affected stripes' index mutation locks taken in
-// ascending order — together a coherent fence over all stripes the operation touches,
-// while lock-free faults in untouched stripes proceed against their own seqcounts.
-// FullWriteAcquisitions() therefore counts exactly the operations that failed to stay
-// stripe-scoped; bench/abl_scoped_structural reports the split per variant.
+// Striped address spaces: a Range is still a byte range, but the list lock follows the
+// address space's stripes (VmaIndex). It keeps one cache-aligned list-rw head per
+// stripe and routes every address through VmaIndex::IndexOf, so scoped operations in
+// different stripes share no list head. A range inside one stripe takes that stripe's
+// list only. A range that crosses stripes, or Range::Full(), takes the list of every
+// stripe it covers, in ascending stripe order, one node per list chained through
+// LNode::sibling. Two overlapping ranges share an address, hence a stripe, hence a list
+// in which Listings 2 and 3 see both, so exclusion is exactly the one-list lock's. The
+// other backends ignore stripes.
+//
+// Lock order, which keeps every wait chain increasing: the covered stripes' range lists
+// in ascending order, then the stripe mutation locks (VmaStripe::LockMutate) in
+// ascending order; a stripe mutation lock never waits on a range lock. A writer waiting
+// at stripe k holds only stripes < k; a reader waiting in RValidate at stripe k holds
+// only stripes <= k (its own node at k is already in that list).
+//
+// The contract AddressSpace builds on top: a full-range write acquisition
+// (LockFullWrite) excludes every scoped writer and locked reader in ANY stripe, and the
+// cross-stripe fallback path pairs it with the affected stripes' index mutation locks
+// taken in ascending order — together a coherent fence over all stripes the operation
+// touches, while lock-free faults in untouched stripes proceed against their own
+// seqcounts. FullWriteAcquisitions() therefore counts exactly the operations that
+// failed to stay stripe-scoped; bench/abl_scoped_structural reports the split per
+// variant.
 #ifndef SRL_VM_VM_LOCK_H_
 #define SRL_VM_VM_LOCK_H_
 
@@ -159,8 +174,9 @@ class VmLock {
   AdmissionGate full_write_gate_;
 };
 
-// Factory.
-std::unique_ptr<VmLock> MakeVmLock(VmLockKind kind);
+// Factory. `stripes` is the guarded space's stripe count (VmaIndex::StripeCount());
+// only kList uses it, one list per stripe (0 counts as 1).
+std::unique_ptr<VmLock> MakeVmLock(VmLockKind kind, unsigned stripes = 1);
 
 const char* VmLockKindName(VmLockKind kind);
 

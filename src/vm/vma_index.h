@@ -168,12 +168,17 @@ class VmaIndex {
   // 0, everything above the last to stripe n-1. VMAs only exist inside windows, so
   // clamped lookups stay correct (the boundary stripes simply own the out-of-window
   // margins, which are permanently unmapped).
-  unsigned IndexOf(uint64_t addr) const {
+  unsigned IndexOf(uint64_t addr) const { return IndexOf(addr, n_); }
+
+  // The same mapping for a space of `n` >= 1 stripes. The list VM lock routes ranges
+  // to its per-stripe heads through it, so a range lock and the index it guards agree
+  // on every address's stripe, the clamped margins included.
+  static unsigned IndexOf(uint64_t addr, unsigned n) {
     if (addr < kStripeBase) {
       return 0;
     }
     const uint64_t i = (addr - kStripeBase) >> kStripeShift;
-    return i >= n_ ? n_ - 1 : static_cast<unsigned>(i);
+    return i >= n ? n - 1 : static_cast<unsigned>(i);
   }
 
   static uint64_t WindowBase(unsigned stripe) {

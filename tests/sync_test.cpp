@@ -12,7 +12,6 @@
 #include "src/sync/rw_spin_lock.h"
 #include "src/sync/seq_counter.h"
 #include "src/sync/spin_lock.h"
-#include "src/sync/ticket_lock.h"
 #include "tests/common/test_clock.h"
 
 namespace srl {
@@ -53,20 +52,6 @@ TEST(SpinLockTest, MutualExclusion) {
 TEST(SpinLockTest, TryLock) {
   SpinLock lock;
   EXPECT_TRUE(lock.try_lock());
-  EXPECT_FALSE(lock.try_lock());
-  lock.unlock();
-  EXPECT_TRUE(lock.try_lock());
-  lock.unlock();
-}
-
-TEST(TicketLockTest, MutualExclusion) {
-  TicketLock lock;
-  MutexCounterTest(lock);
-}
-
-TEST(TicketLockTest, TryLockFailsWhenHeld) {
-  TicketLock lock;
-  lock.lock();
   EXPECT_FALSE(lock.try_lock());
   lock.unlock();
   EXPECT_TRUE(lock.try_lock());

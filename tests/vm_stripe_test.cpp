@@ -12,6 +12,7 @@
 
 #include "src/harness/prng.h"
 #include "src/vm/address_space.h"
+#include "tests/common/test_clock.h"
 
 namespace srl::vm {
 namespace {
@@ -214,6 +215,115 @@ TEST(VmStripeTest, FailingCrossStripeMprotectCountsOnceAndChangesNothing) {
   EXPECT_EQ(vmas[3], (VmaInfo{b + 4 * kPage, b + 8 * kPage, prot}));
   EXPECT_TRUE(as.PageFault(b - kPage, false));
   EXPECT_FALSE(as.PageFault(b - kPage, true)) << "read-only after the protect";
+  EXPECT_TRUE(as.CheckInvariants());
+}
+
+// A snapshot is sorted and disjoint, and exactly two VMAs, both with `prot`, cover the
+// pages on either side of `edge`.
+bool SnapshotHoldsEdge(const std::vector<VmaInfo>& vmas, uint64_t edge, uint32_t prot) {
+  int pieces = 0;
+  for (std::size_t k = 0; k < vmas.size(); ++k) {
+    if (vmas[k].start >= vmas[k].end || (k > 0 && vmas[k - 1].end > vmas[k].start)) {
+      return false;
+    }
+    if (vmas[k].start < edge + kPage && vmas[k].end > edge - kPage) {
+      if (vmas[k].prot != prot) {
+        return false;
+      }
+      ++pieces;
+    }
+  }
+  return pieces == 2;
+}
+
+// The cross-stripe fallback against scoped churn in both of its stripes. A covered
+// mprotect over the stripe edge classifies cross-stripe and takes the full-range path
+// (LockFullWrite, then both stripes' mutation locks), while one thread per stripe runs
+// scoped mprotect/fault/munmap cycles beside it. Every fault verdict must match the
+// protection its own thread set. The edge thread's snapshots walk both trees under
+// LockFullWrite alone, so they find the edge VMAs intact only if LockFullWrite takes
+// every stripe's list and so excludes both churners. The exact-fit carve that puts a
+// VMA against the edge exhausts stripe 0's window, so stripe 0's churner works through
+// slots mapped before that carve; stripe 1's maps its own.
+TEST(VmStripeTest, CrossStripeFallbackRacesScopedChurnInBothStripes) {
+  AddressSpace as(VmVariant::kListScoped, 2);
+  const uint32_t rw = kProtRead | kProtWrite;
+  constexpr uint64_t kSlotPages = 4;
+  constexpr int kSlots = 1024;
+  std::vector<uint64_t> slots;
+  for (int i = 0; i < kSlots; ++i) {
+    slots.push_back(as.MmapInStripe(0, kSlotPages * kPage, rw));
+    ASSERT_EQ(as.StripeOf(slots.back()), 0u);
+  }
+  // Exact fit of the rest of stripe 0 (the cursor sits one guard page past the last
+  // slot), then the overflow carve at stripe 1's base: two VMAs abutting the edge.
+  const uint64_t edge = AddressSpace::kMmapBase + kSpan;
+  const uint64_t rest = slots.back() + (kSlotPages + 1) * kPage;
+  ASSERT_EQ(as.MmapInStripe(0, edge - rest, rw), rest);
+  ASSERT_EQ(as.MmapInStripe(0, 8 * kPage, rw), edge);
+  ASSERT_EQ(as.StripeOf(edge), 1u);
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> ok{true};
+  std::atomic<uint64_t> edge_ops{0};
+  // One scoped cycle on a fresh RW slot x: split off a read-only page, check every
+  // verdict against it, unmap the slot.
+  const auto cycle = [&](uint64_t x) {
+    const bool good = as.PageFault(x, true) && as.Mprotect(x + kPage, kPage, kProtRead) &&
+                      !as.PageFault(x + kPage, true) && as.PageFault(x + kPage, false) &&
+                      as.PageFault(x, true) && as.Munmap(x, kSlotPages * kPage) &&
+                      !as.PageFault(x, false);
+    if (!good) {
+      ok.store(false);
+    }
+    return good;
+  };
+  constexpr uint64_t kMinEdgeOps = 64;
+  std::thread churn0([&] {
+    for (std::size_t i = 0; i < slots.size() && !stop.load(); ++i) {
+      if (!cycle(slots[i])) {
+        return;
+      }
+    }
+  });
+  std::thread churn1([&] {
+    int cycles = 0;
+    while (ok.load() && !stop.load() &&
+           (cycles < kSlots || edge_ops.load() < kMinEdgeOps)) {
+      const uint64_t x = as.MmapInStripe(1, kSlotPages * kPage, rw);
+      if (x == 0 || as.StripeOf(x) != 1 || !cycle(x)) {
+        ok.store(false);
+        return;
+      }
+      ++cycles;
+    }
+  });
+  const uint64_t fallbacks_before = as.Stats().cross_stripe_fallback.load();
+  std::thread edger([&] {
+    for (uint64_t i = 0; !stop.load(); ++i) {
+      const uint32_t prot = (i % 2 == 0) ? kProtRead : rw;
+      const bool writable = prot == rw;
+      if (!as.Mprotect(edge - 2 * kPage, 4 * kPage, prot) ||
+          as.PageFault(edge - kPage, true) != writable ||
+          as.PageFault(edge, true) != writable || !as.PageFault(edge + kPage, false)) {
+        ok.store(false);
+        return;
+      }
+      if (i % 8 == 0 && !SnapshotHoldsEdge(as.SnapshotVmas(), edge, prot)) {
+        ok.store(false);
+        return;
+      }
+      edge_ops.fetch_add(1);
+    }
+  });
+  churn0.join();
+  churn1.join();
+  EXPECT_TRUE(srl::testing::EventuallyTrue(
+      [&] { return edge_ops.load() >= kMinEdgeOps || !ok.load(); }));
+  stop.store(true);
+  edger.join();
+  ASSERT_TRUE(ok.load()) << "a verdict or snapshot disagreed with its own thread's ops";
+  EXPECT_GE(as.Stats().cross_stripe_fallback.load() - fallbacks_before, kMinEdgeOps);
   EXPECT_TRUE(as.CheckInvariants());
 }
 

@@ -45,7 +45,7 @@ read -r -a CONFIGS <<<"${CONFIGS[*]}"
 # stress sweeps, internals (helping unlink, cross-thread recycling, fast-path
 # handoff), node pools, retire lists and the VM lock suites cover the shared
 # Listing-1 core (src/core/range_list.h) under every lock built on it.
-SANITIZED_TESTS='ListRangeLock|ListLockFree|ListRwRangeLock|FairList|LockConformance|LockFuzz|Epoch|Sync|SpinLock|TicketLock|RwSpinLock|FairRwLock|RwSemaphore|TreeRangeLock|SegmentRangeLock|RangeOracle|VmStructuralFuzz|VmFaultUnmapRace|VmStripe|VmSweep|SkiplistRangeLock|SkipList|Admission|Topology|ListExStress|ListRwStress|ListLockInternals|NodePool|RetireList|VmConcurrent|VmLock'
+SANITIZED_TESTS='ListRangeLock|ListLockFree|ListRwRangeLock|FairList|LockConformance|LockFuzz|Epoch|Sync|SpinLock|RwSpinLock|FairRwLock|RwSemaphore|TreeRangeLock|SegmentRangeLock|RangeOracle|VmStructuralFuzz|VmFaultUnmapRace|VmStripe|VmSweep|SkiplistRangeLock|SkipList|Admission|Topology|ListExStress|ListRwStress|ListLockInternals|NodePool|RetireList|VmConcurrent|VmLock'
 
 run_config() {
   local config="$1"
