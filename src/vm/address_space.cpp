@@ -103,14 +103,15 @@ const char* VmVariantName(VmVariant v) {
 }
 
 AddressSpace::AddressSpace(VmVariant variant, unsigned stripes)
-    : variant_(variant), index_(ResolveStripes(variant, stripes)) {
+    : variant_(variant),
+      index_(ResolveStripes(variant, stripes)),
+      stats_(index_.StripeCount()) {
   const VariantConfig cfg = ConfigFor(variant);
   refine_fault_ = cfg.refine_fault;
   refine_mprotect_ = cfg.refine_mprotect;
   scoped_structural_ = cfg.scoped_structural;
   stripes_ = index_.StripeCount();
   lock_ = MakeVmLock(cfg.kind, stripes_);
-  stats_.ConfigureStripes(stripes_);
   // kPageSize is 2^12; the page table's stripe bits sit kStripeShift - 12 up from the
   // window origin (kMmapBase is not span-aligned, so the origin must be subtracted).
   pages_.ConfigureStripes(VmaIndex::kStripeShift - 12, kMmapBase / kPageSize, stripes_);
@@ -169,7 +170,7 @@ uint64_t AddressSpace::MmapInStripe(unsigned stripe, uint64_t length, uint32_t p
   if (length == 0 || stripe >= stripes_) {
     return 0;
   }
-  stats_.mmaps.fetch_add(1, std::memory_order_relaxed);
+  CacheAligned<VmStripeStats>* mine = stats_.Mine();
   const uint64_t size = PageUp(length);
   uint64_t addr = 0;
   unsigned si = stripe;
@@ -178,14 +179,17 @@ uint64_t AddressSpace::MmapInStripe(unsigned stripe, uint64_t length, uint32_t p
     addr = CarveFromStripe(si, size);
     if (addr != 0) {
       if (probe != 0) {
-        stats_.stripe(si).mmap_overflow.fetch_add(1, std::memory_order_relaxed);
+        mine[si]->mmap_overflow.fetch_add(1, std::memory_order_relaxed);
       }
       break;
     }
   }
   if (addr == 0) {
+    mine[stripe]->mmaps.fetch_add(1, std::memory_order_relaxed);
     return 0;  // every window exhausted
   }
+  VmStripeStats& slice = mine[si].value;
+  slice.mmaps.fetch_add(1, std::memory_order_relaxed);
   // The cursor never reuses addresses, so the new VMA can neither overlap nor merge
   // with an existing one: write-locking just [addr, addr+size) covers every byte whose
   // mapping changes. No padding is needed — the guard page (or the window edge, for an
@@ -198,8 +202,7 @@ uint64_t AddressSpace::MmapInStripe(unsigned stripe, uint64_t length, uint32_t p
   st.UnlockMutate();
   lock_->UnlockWrite(h);
   if (scoped_structural_) {
-    stats_.scoped_structural.fetch_add(1, std::memory_order_relaxed);
-    stats_.stripe(si).scoped_structural.fetch_add(1, std::memory_order_relaxed);
+    slice.scoped_structural.fetch_add(1, std::memory_order_relaxed);
   }
   return addr;
 }
@@ -263,9 +266,11 @@ bool AddressSpace::Munmap(uint64_t addr, uint64_t length) {
   if (length == 0) {
     return false;
   }
-  stats_.munmaps.fetch_add(1, std::memory_order_relaxed);
   const uint64_t s = PageDown(addr);
   const uint64_t e = PageUp(addr + length);
+  CacheAligned<VmStripeStats>* mine = stats_.Mine();
+  VmStripeStats& slice = mine[index_.IndexOf(s)].value;
+  slice.munmaps.fetch_add(1, std::memory_order_relaxed);
   if (e <= s) {
     // addr+length wrapped past the top of the address space: the range denotes
     // nothing, and Range{s, e} would violate the locks' start < end contract.
@@ -292,26 +297,23 @@ bool AddressSpace::Munmap(uint64_t addr, uint64_t length) {
           // Enqueue strictly after the seqcount bump (UnlockMutate above closed the
           // write section), so every flush of this range is ordered after the bump —
           // the deferred half of the install-then-validate ordering argument.
-          EnqueueSweepRange(s, e, expected);
+          EnqueueSweepRange(s, e, mine, expected);
         } else if (any) {
-          stats_.sweeps_skipped_empty.fetch_add(1, std::memory_order_relaxed);
+          slice.sweeps_skipped_empty.fetch_add(1, std::memory_order_relaxed);
         }
         lock_->UnlockWrite(h);
-        stats_.scoped_structural.fetch_add(1, std::memory_order_relaxed);
-        stats_.stripe(si).scoped_structural.fetch_add(1, std::memory_order_relaxed);
+        slice.scoped_structural.fetch_add(1, std::memory_order_relaxed);
         st.MaybeFlushRetired();
         MaybeFlushSweeps(si);
         return any;
       }
       case RangeClass::kCrossStripe:
-        stats_.cross_stripe_fallback.fetch_add(1, std::memory_order_relaxed);
+        slice.cross_stripe_fallback.fetch_add(1, std::memory_order_relaxed);
         break;
       case RangeClass::kWrapped:
         break;
     }
-    stats_.scoped_fallback.fetch_add(1, std::memory_order_relaxed);
-    stats_.stripe(index_.IndexOf(s))
-        .scoped_fallback.fetch_add(1, std::memory_order_relaxed);
+    slice.scoped_fallback.fetch_add(1, std::memory_order_relaxed);
   }
   const unsigned lo = index_.IndexOf(s);
   const unsigned hi = index_.IndexOf(e - 1);
@@ -321,9 +323,9 @@ bool AddressSpace::Munmap(uint64_t addr, uint64_t length) {
   const bool any = ApplyMunmapLocked(s, e, lo, hi, &expected);
   index_.UnlockMutateRange(lo, hi);
   if (any && expected > 0) {
-    EnqueueSweepRange(s, e, expected);
+    EnqueueSweepRange(s, e, mine, expected);
   } else if (any) {
-    stats_.sweeps_skipped_empty.fetch_add(1, std::memory_order_relaxed);
+    slice.sweeps_skipped_empty.fetch_add(1, std::memory_order_relaxed);
   }
   lock_->UnlockWrite(h);
   index_.MaybeFlushRetired(lo, hi);
@@ -333,7 +335,9 @@ bool AddressSpace::Munmap(uint64_t addr, uint64_t length) {
   return any;
 }
 
-void AddressSpace::EnqueueSweepRange(uint64_t s, uint64_t e, uint64_t expected) {
+void AddressSpace::EnqueueSweepRange(uint64_t s, uint64_t e,
+                                     CacheAligned<VmStripeStats>* mine,
+                                     uint64_t expected) {
   // Split at stripe-window edges so each piece lands on its own stripe's queue (the
   // queue assignment is a locality choice, not a correctness one — any queue's flush
   // erases the right pages). Addresses below/above every window (clamped margins) go
@@ -349,10 +353,11 @@ void AddressSpace::EnqueueSweepRange(uint64_t s, uint64_t e, uint64_t expected) 
     const uint64_t first = cur / kPageSize;
     const uint64_t last = nxt / kPageSize;
     const std::size_t absorbed = sweeps_[si].value.Enqueue(first, last, expected);
-    stats_.sweeps_queued.fetch_add(1, std::memory_order_relaxed);
-    stats_.sweeps_queued_pages.fetch_add(last - first, std::memory_order_relaxed);
+    VmStripeStats& slice = mine[si].value;
+    slice.sweeps_queued.fetch_add(1, std::memory_order_relaxed);
+    slice.sweeps_queued_pages.fetch_add(last - first, std::memory_order_relaxed);
     if (absorbed != 0) {
-      stats_.sweeps_coalesced.fetch_add(absorbed, std::memory_order_relaxed);
+      slice.sweeps_coalesced.fetch_add(absorbed, std::memory_order_relaxed);
     }
     cur = nxt;
   }
@@ -380,9 +385,9 @@ void AddressSpace::FlushSweeps(unsigned si) {
                                erased == r.expected && resume < r.last;
       q.FinishClaimed(r.first, r.last, resume, may_survive, batch);
     }
-    stats_.sweeps_flushes.fetch_add(1, std::memory_order_relaxed);
-    stats_.sweeps_swept_pages.fetch_add(pages, std::memory_order_relaxed);
-    stats_.stripe(si).sweep_flushes.fetch_add(1, std::memory_order_relaxed);
+    VmStripeStats& slice = stats_.Mine()[si].value;
+    slice.sweeps_flushes.fetch_add(1, std::memory_order_relaxed);
+    slice.sweeps_swept_pages.fetch_add(pages, std::memory_order_relaxed);
   }
   // Tombstone GC: a tombstone settles for free once every fault in flight at its
   // finish has exited (all possible thieves have raised by then). One armed grace
@@ -559,7 +564,7 @@ bool AddressSpace::ApplyMprotectLocked(uint64_t s, uint64_t e, uint32_t prot,
 }
 
 bool AddressSpace::ScopedStructuralMprotect(uint64_t s, uint64_t e, uint32_t prot,
-                                            bool* ok) {
+                                            bool* ok, VmStripeStats& slice) {
   unsigned si = 0;
   uint64_t ls = 0;
   uint64_t le = 0;
@@ -570,7 +575,7 @@ bool AddressSpace::ScopedStructuralMprotect(uint64_t s, uint64_t e, uint32_t pro
       // The argument range spans a stripe edge: the single-stripe lock cannot cover
       // every boundary this op may move. Degrade to the full path, which fences all
       // affected stripes.
-      stats_.cross_stripe_fallback.fetch_add(1, std::memory_order_relaxed);
+      slice.cross_stripe_fallback.fetch_add(1, std::memory_order_relaxed);
       return false;
     case RangeClass::kWrapped:
       return false;  // padded range wraps: not representable, take the full path
@@ -604,8 +609,7 @@ bool AddressSpace::ScopedStructuralMprotect(uint64_t s, uint64_t e, uint32_t pro
   *ok = ApplyMprotectLocked(s, e, prot, si, si);
   st.UnlockMutate();
   lock_->UnlockWrite(h);
-  stats_.scoped_structural.fetch_add(1, std::memory_order_relaxed);
-  stats_.stripe(si).scoped_structural.fetch_add(1, std::memory_order_relaxed);
+  slice.scoped_structural.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -646,9 +650,10 @@ bool AddressSpace::Mprotect(uint64_t addr, uint64_t length, uint32_t prot) {
   if (length == 0) {
     return false;
   }
-  stats_.mprotects.fetch_add(1, std::memory_order_relaxed);
   const uint64_t s = PageDown(addr);
   const uint64_t e = PageUp(addr + length);
+  VmStripeStats& slice = stats_.Mine()[index_.IndexOf(s)].value;
+  slice.mprotects.fetch_add(1, std::memory_order_relaxed);
   if (e <= s) {
     return false;  // wrapped range: denotes nothing (and Range{s, e} would be invalid)
   }
@@ -658,13 +663,11 @@ bool AddressSpace::Mprotect(uint64_t addr, uint64_t length, uint32_t prot) {
     if (!speculate) {
       if (scoped_structural_) {
         bool ok = false;
-        if (ScopedStructuralMprotect(s, e, prot, &ok)) {
+        if (ScopedStructuralMprotect(s, e, prot, &ok, slice)) {
           index_.StripeFor(s).MaybeFlushRetired();
           return ok;
         }
-        stats_.scoped_fallback.fetch_add(1, std::memory_order_relaxed);
-        stats_.stripe(index_.IndexOf(s))
-            .scoped_fallback.fetch_add(1, std::memory_order_relaxed);
+        slice.scoped_fallback.fetch_add(1, std::memory_order_relaxed);
       }
       const unsigned lo = index_.IndexOf(s);
       const unsigned hi = index_.IndexOf(e - 1);
@@ -684,7 +687,7 @@ bool AddressSpace::Mprotect(uint64_t addr, uint64_t length, uint32_t prot) {
     {
       EpochGuard guard(EpochDomain::Global());
       void* rh = lock_->LockRead({s, e});
-      Vma* vma = FindVmaForRead(s);
+      Vma* vma = FindVmaForRead(s, slice);
       if (vma == nullptr || vma->Start() > s) {
         lock_->UnlockRead(rh);
         return false;  // start address unmapped — ENOMEM
@@ -707,7 +710,7 @@ bool AddressSpace::Mprotect(uint64_t addr, uint64_t length, uint32_t prot) {
           aligned_end != vma->End() + kPageSize) {
         st.UnlockStable();
         lock_->UnlockWrite(wh);
-        stats_.spec_retries.fetch_add(1, std::memory_order_relaxed);
+        slice.spec_retries.fetch_add(1, std::memory_order_relaxed);
         continue;  // mm_rb may have changed under us — retry from the top
       }
 
@@ -761,7 +764,7 @@ bool AddressSpace::Mprotect(uint64_t addr, uint64_t length, uint32_t prot) {
           break;
         }
         case SpecCase::kStructural:
-          stats_.spec_fallback.fetch_add(1, std::memory_order_relaxed);
+          slice.spec_fallback.fetch_add(1, std::memory_order_relaxed);
           speculate = false;
           fell_back = true;
           break;
@@ -772,13 +775,14 @@ bool AddressSpace::Mprotect(uint64_t addr, uint64_t length, uint32_t prot) {
         continue;  // redo on the structural path
       }
     }
-    stats_.spec_success.fetch_add(1, std::memory_order_relaxed);
+    slice.spec_success.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
 }
 
-bool AddressSpace::PageFaultLocked(uint64_t addr, bool is_write, uint64_t page_addr) {
-  Vma* vma = FindVmaForRead(addr);
+bool AddressSpace::PageFaultLocked(uint64_t addr, bool is_write, uint64_t page_addr,
+                                   VmStripeStats& slice) {
+  Vma* vma = FindVmaForRead(addr, slice);
   bool ok = vma != nullptr && vma->Start() <= addr;
   if (ok) {
     const uint32_t required = is_write ? kProtWrite : kProtRead;
@@ -788,15 +792,14 @@ bool AddressSpace::PageFaultLocked(uint64_t addr, bool is_write, uint64_t page_a
     const uint64_t page = page_addr / kPageSize;
     if (pages_.Install(page)) {
       vma->present_hint.fetch_add(1, std::memory_order_relaxed);
-      stats_.stripe(index_.IndexOf(page_addr))
-          .major_faults.fetch_add(1, std::memory_order_relaxed);
+      slice.major_faults.fetch_add(1, std::memory_order_relaxed);
     }
     // The page is (re-)validated present under a mapping: punch it out of any
     // still-pending DONTNEED sweep so the deferred erase cannot undo this fault (the
     // madvise/fault repopulation contract — see SweepQueue::CancelPending).
     sweeps_[index_.IndexOf(page_addr)].value.CancelPending(page);
   } else {
-    stats_.fault_errors.fetch_add(1, std::memory_order_relaxed);
+    slice.fault_errors.fetch_add(1, std::memory_order_relaxed);
   }
   return ok;
 }
@@ -834,19 +837,17 @@ bool AddressSpace::PageFaultLocked(uint64_t addr, bool is_write, uint64_t page_a
 // Trust discipline: a *successful* return requires the post-install validation; a
 // *SIGSEGV* return requires both the stripe's seqcount and the per-VMA seqlock to
 // validate (a transient gap observed mid-boundary-move is neither — it falls back).
-int AddressSpace::PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t page_addr) {
+int AddressSpace::PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t page_addr,
+                                      VmStripeStats& slice) {
   EpochQuantumGuard guard(EpochDomain::Global());
   const unsigned si = index_.IndexOf(addr);
   const VmaStripe& stripe = index_.Stripe(si);
-  VmStripeStats& sstats = stats_.stripe(si);
   for (int attempt = 0; attempt < kFaultSpecAttempts; ++attempt) {
     Vma* vma = nullptr;
     uint64_t iseq = 0;
     if (!stripe.TryFindOptimistic(addr, &vma, &iseq)) {
-      stats_.find_retries.fetch_add(1, std::memory_order_relaxed);
-      stats_.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
-      sstats.find_retries.fetch_add(1, std::memory_order_relaxed);
-      sstats.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
+      slice.find_retries.fetch_add(1, std::memory_order_relaxed);
+      slice.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     if (vma == nullptr) {
@@ -860,8 +861,7 @@ int AddressSpace::PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t pag
     const uint64_t ve = vma->End();
     const uint32_t prot = vma->Prot();
     if (!vma->meta_seq.Validate(vseq)) {
-      stats_.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
-      sstats.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
+      slice.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
       continue;  // torn metadata read: a boundary move / flip overlapped
     }
     if (vs > addr || ve <= addr) {
@@ -876,12 +876,11 @@ int AddressSpace::PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t pag
       // (bounds, prot) pair consistent; an unchanged stripe seqcount proves the VMA
       // was live and un-clipped for the whole read window.
       if (stripe.ValidateSeq(iseq) && !vma->Detached()) {
-        sstats.fault_spec_ok.fetch_add(1, std::memory_order_relaxed);
-        stats_.fault_errors.fetch_add(1, std::memory_order_relaxed);
+        slice.fault_spec_ok.fetch_add(1, std::memory_order_relaxed);
+        slice.fault_errors.fetch_add(1, std::memory_order_relaxed);
         return 0;
       }
-      stats_.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
-      sstats.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
+      slice.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
 
@@ -890,8 +889,7 @@ int AddressSpace::PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t pag
       // the window strands the install after the page sweep — the stale page the
       // fault-vs-unmap battery exists to catch.
       if (!stripe.ValidateSeq(iseq) || vma->Detached()) {
-        stats_.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
-        sstats.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
+        slice.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       for (uint32_t i = 0; i < test_spec_window_yields_; ++i) {
@@ -899,9 +897,9 @@ int AddressSpace::PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t pag
       }
       if (pages_.Install(page_addr / kPageSize)) {
         vma->present_hint.fetch_add(1, std::memory_order_relaxed);
-        sstats.major_faults.fetch_add(1, std::memory_order_relaxed);
+        slice.major_faults.fetch_add(1, std::memory_order_relaxed);
       }
-      sstats.fault_spec_ok.fetch_add(1, std::memory_order_relaxed);
+      slice.fault_spec_ok.fetch_add(1, std::memory_order_relaxed);
       return 1;
     }
 
@@ -971,12 +969,11 @@ int AddressSpace::PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t pag
           vma->present_hint.fetch_sub(1, std::memory_order_relaxed);
         }
       }
-      stats_.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
-      sstats.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
+      slice.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     if (installed) {
-      sstats.major_faults.fetch_add(1, std::memory_order_relaxed);
+      slice.major_faults.fetch_add(1, std::memory_order_relaxed);
     }
     // WINNING fault only: the unchanged seqcount proves the mapping stayed live from
     // walk through validate, so any still-pending sweep covering this page is a
@@ -986,21 +983,22 @@ int AddressSpace::PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t pag
     // found the VMA a munmap just unlinked, and cancelling there would disarm the
     // munmap's own sweep and strand a pre-munmap install.
     sweeps_[si].value.CancelPending(page);
-    sstats.fault_spec_ok.fetch_add(1, std::memory_order_relaxed);
+    slice.fault_spec_ok.fetch_add(1, std::memory_order_relaxed);
     return 1;
   }
   return -1;
 }
 
 bool AddressSpace::PageFault(uint64_t addr, bool is_write) {
-  stats_.stripe(index_.IndexOf(addr)).faults.fetch_add(1, std::memory_order_relaxed);
+  VmStripeStats& slice = stats_.Mine()[index_.IndexOf(addr)].value;
+  slice.faults.fetch_add(1, std::memory_order_relaxed);
   const uint64_t page_addr = PageDown(addr);
   if (scoped_structural_) {
-    const int verdict = PageFaultOptimistic(addr, is_write, page_addr);
+    const int verdict = PageFaultOptimistic(addr, is_write, page_addr, slice);
     if (verdict >= 0) {
       return verdict != 0;
     }
-    stats_.fault_spec_fallback.fetch_add(1, std::memory_order_relaxed);
+    slice.fault_spec_fallback.fetch_add(1, std::memory_order_relaxed);
   }
   const Range r = refine_fault_ ? Range{page_addr, page_addr + kPageSize} : Range::Full();
   // Trylock-first, mirroring the kernel fault path (do_user_addr_fault does
@@ -1008,9 +1006,9 @@ bool AddressSpace::PageFault(uint64_t addr, bool is_write) {
   // and the contended one falls back to the ordinary blocking acquisition.
   void* h = nullptr;
   if (lock_->TryLockRead(r, &h)) {
-    stats_.fault_try_ok.fetch_add(1, std::memory_order_relaxed);
+    slice.fault_try_ok.fetch_add(1, std::memory_order_relaxed);
   } else {
-    stats_.fault_try_fallback.fetch_add(1, std::memory_order_relaxed);
+    slice.fault_try_fallback.fetch_add(1, std::memory_order_relaxed);
     h = lock_->LockRead(r);
   }
   bool ok;
@@ -1019,9 +1017,9 @@ bool AddressSpace::PageFault(uint64_t addr, bool is_write) {
     // the lookup walks optimistically and the epoch guard keeps any VMA the walk
     // touches (including concurrently retired ones) dereferenceable.
     EpochGuard guard(EpochDomain::Global());
-    ok = PageFaultLocked(addr, is_write, page_addr);
+    ok = PageFaultLocked(addr, is_write, page_addr, slice);
   } else {
-    ok = PageFaultLocked(addr, is_write, page_addr);
+    ok = PageFaultLocked(addr, is_write, page_addr, slice);
   }
   lock_->UnlockRead(h);
   return ok;
@@ -1042,7 +1040,7 @@ bool AddressSpace::MadviseDontNeed(uint64_t addr, uint64_t length) {
   // decremented: the hint is an upper bound and only a fault's own exact undo may
   // lower it.
   void* h = lock_->LockRead(refine_fault_ ? Range{s, e} : Range::Full());
-  EnqueueSweepRange(s, e);
+  EnqueueSweepRange(s, e, stats_.Mine());
   lock_->UnlockRead(h);
   MaybeFlushSweeps(index_.IndexOf(s));
   return true;

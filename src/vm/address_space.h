@@ -189,7 +189,12 @@ class AddressSpace {
   // Pages enqueued and not yet swept, summed over stripes (racy; tests/benches).
   uint64_t PendingSweepPages() const;
 
-  const VmStats& Stats() const { return stats_; }
+  // Every VM counter as of this call: folds the per-thread, per-stripe counter slots
+  // into the returned totals and per-stripe view (see vm_stats.h).
+  const VmStats& Stats() const {
+    stats_.Fold();
+    return stats_;
+  }
   VmLock& Lock() { return *lock_; }
   VmVariant Variant() const { return variant_; }
   bool ScopedStructural() const { return scoped_structural_; }
@@ -287,20 +292,22 @@ class AddressSpace {
   // cannot rely on their (partial) read acquisition to exclude structural writers, so
   // they take the optimistic walk; everyone else walks plainly under the exclusion
   // their lock already provides. The caller must be inside an epoch critical section
-  // when scoped.
-  Vma* FindVmaForRead(uint64_t addr) {
+  // when scoped. `slice` is the calling thread's counters for addr's stripe.
+  Vma* FindVmaForRead(uint64_t addr, VmStripeStats& slice) {
     const VmaStripe& stripe = index_.StripeFor(addr);
-    return scoped_structural_ ? stripe.FindOptimistic(addr, &stats_)
-                              : stripe.Find(addr);
+    return scoped_structural_ ? stripe.FindOptimistic(addr, slice) : stripe.Find(addr);
   }
 
   // Fault body; caller holds the read acquisition (and an epoch guard when scoped).
-  bool PageFaultLocked(uint64_t addr, bool is_write, uint64_t page_addr);
+  // `slice` is the calling thread's counters for addr's stripe.
+  bool PageFaultLocked(uint64_t addr, bool is_write, uint64_t page_addr,
+                       VmStripeStats& slice);
 
   // Lock-free speculative fault attempt (scoped variants). Returns 1 (legal access,
   // page installed), 0 (SIGSEGV proven against validated state), or -1 (undecidable
   // speculatively — gap observation or attempts exhausted; take the locked path).
-  int PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t page_addr);
+  int PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t page_addr,
+                          VmStripeStats& slice);
 
   // Retry budget before the speculative fault degrades to the locked path. Retries are
   // caused by overlapping structural mutations of the SAME stripe — rare per-fault, so
@@ -328,10 +335,11 @@ class AddressSpace {
                          uint64_t* expected_present);
 
   // Splits the page-aligned byte range [s, e) at stripe-window edges and enqueues each
-  // piece on its stripe's sweep queue (counting stats); every piece carries the full
-  // `expected` present-page bound (an upper bound for each). Caller may hold range
-  // locks — enqueueing never sweeps.
-  void EnqueueSweepRange(uint64_t s, uint64_t e,
+  // piece on its stripe's sweep queue, counting it in that stripe's slice of `mine`
+  // (the calling thread's counter block); every piece carries the full `expected`
+  // present-page bound (an upper bound for each). Caller may hold range locks —
+  // enqueueing never sweeps.
+  void EnqueueSweepRange(uint64_t s, uint64_t e, CacheAligned<VmStripeStats>* mine,
                          uint64_t expected = SweepQueue::kUnbounded);
 
   // Claims and sweeps stripe `si`'s queue. Call holding no locks or ranges.
@@ -348,8 +356,9 @@ class AddressSpace {
 
   // Structural mprotect under a range-scoped write lock. Returns false when the padded
   // range cannot be represented or crosses a stripe edge and the caller must fall back
-  // to the full-range path.
-  bool ScopedStructuralMprotect(uint64_t s, uint64_t e, uint32_t prot, bool* ok);
+  // to the full-range path. `slice` is the calling thread's counters for s's stripe.
+  bool ScopedStructuralMprotect(uint64_t s, uint64_t e, uint32_t prot, bool* ok,
+                                VmStripeStats& slice);
 
   // Classification of a speculative mprotect against a single VMA (§5.2 / Figure 2).
   enum class SpecCase {
@@ -375,7 +384,8 @@ class AddressSpace {
   std::unique_ptr<VmLock> lock_;
   VmaIndex index_;
   PageTable pages_;
-  VmStats stats_;
+  // Operations count into their thread's slot block; Stats() folds (hence mutable).
+  mutable VmStats stats_;
   // Per-stripe mmap cursors, cache-line padded: mmaps from different home stripes
   // bounce no shared line (the PR 4 cursor was one global atomic).
   std::unique_ptr<CacheAligned<std::atomic<uint64_t>>[]> cursors_;

@@ -49,7 +49,9 @@
 #include "src/core/range.h"
 #include "src/harness/wait_stats.h"
 #include "src/sync/admission.h"
+#include "src/sync/cacheline.h"
 #include "src/sync/rw_semaphore.h"
+#include "src/sync/topology.h"
 
 namespace srl::vm {
 
@@ -142,13 +144,11 @@ class VmLock {
 
   // Write-acquisition accounting: how many writes took the whole address space
   // (Range::Full()) versus a proper sub-range. The scoped structural variants live or
-  // die by this ratio — bench/abl_scoped_structural reports it per variant.
-  uint64_t FullWriteAcquisitions() const {
-    return full_writes_.load(std::memory_order_relaxed);
-  }
-  uint64_t RangedWriteAcquisitions() const {
-    return ranged_writes_.load(std::memory_order_relaxed);
-  }
+  // die by this ratio — bench/abl_scoped_structural reports it per variant. Each
+  // thread counts into its own counter slot (src/sync/topology.h), so a ranged write
+  // dirties no line that another core reads; these sum the slots.
+  uint64_t FullWriteAcquisitions() const { return SumWrites(&WriteCounts::full); }
+  uint64_t RangedWriteAcquisitions() const { return SumWrites(&WriteCounts::ranged); }
 
  protected:
   virtual void* DoLockRead(const Range& r) = 0;
@@ -159,17 +159,26 @@ class VmLock {
   virtual void DoUnlockWrite(void* h) = 0;
 
  private:
+  struct alignas(kCacheLineSize) WriteCounts {
+    std::atomic<uint64_t> full{0};
+    std::atomic<uint64_t> ranged{0};
+  };
+
   void CountWrite(const Range& r) {
-    if (r == Range::Full()) {
-      full_writes_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      ranged_writes_.fetch_add(1, std::memory_order_relaxed);
-    }
+    WriteCounts& mine = *writes_.Mine();
+    std::atomic<uint64_t>& n = r == Range::Full() ? mine.full : mine.ranged;
+    n.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  uint64_t SumWrites(std::atomic<uint64_t> WriteCounts::*m) const {
+    uint64_t sum = 0;
+    writes_.ForEach(
+        [&](const WriteCounts* w) { sum += (w->*m).load(std::memory_order_relaxed); });
+    return sum;
   }
 
   WaitStats* stats_ = nullptr;
-  std::atomic<uint64_t> full_writes_{0};
-  std::atomic<uint64_t> ranged_writes_{0};
+  SlotBlocks<WriteCounts> writes_{1};  // one WriteCounts per counter slot
   // Admission control for the full-address-space write path (see LockWrite).
   AdmissionGate full_write_gate_;
 };

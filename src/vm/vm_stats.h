@@ -4,49 +4,48 @@
 // majority of the calls to mprotect (over 99%) succeed in the speculative path" for the
 // GLIBC-arena workload.
 //
-// Since the address space was sharded into stripes, the counters that localize to one
-// stripe (scoped structural ops, speculative fault outcomes, optimistic-walk retries,
-// mmap cursor overflow) are additionally kept per stripe in cache-line-padded slots, so
-// the isolation claim — churn in stripe A causes no speculative-fault retries in
-// stripe B — is directly observable rather than inferred. The flat totals remain the
-// authoritative aggregates (they are bumped on the same events) — EXCEPT the per-fault
-// success counters, which are per-stripe only and aggregated on read (see Faults()).
+// Every counter is kept per counter slot and per stripe, and no operation writes a
+// shared line. VmStats holds one block per counter slot (src/sync/topology.h): the
+// calling thread's block is `StripeCount()` cache-aligned VmStripeStats, allocated on
+// the slot's first increment. An operation fetches its block once (Mine()) and counts
+// each event once, in the slice of the stripe its address falls in. Totals exist only
+// on read: Fold() sums every block into the per-stripe view that stripe(i) returns and
+// into the flat totals this struct inherits from VmStripeStats. AddressSpace::Stats()
+// folds before it returns, so a reader sees the counts as of its Stats() call, and the
+// isolation claim (churn in stripe A causes no speculative-fault retries in stripe B)
+// reads directly off the per-stripe view.
 #ifndef SRL_VM_VM_STATS_H_
 #define SRL_VM_VM_STATS_H_
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <mutex>
+#include <vector>
 
 #include "src/sync/cacheline.h"
+#include "src/sync/spin_lock.h"
+#include "src/sync/topology.h"
 
 namespace srl::vm {
 
-// Per-stripe slice of the counters below; see VmStats::stripe().
+// One stripe's counters, in one slot block, in the per-stripe view, or (as VmStats's
+// base) the totals over every stripe.
 struct VmStripeStats {
-  std::atomic<uint64_t> faults{0};             // faults whose address lands in this stripe
-  std::atomic<uint64_t> major_faults{0};       // of those, pages actually installed
-  std::atomic<uint64_t> scoped_structural{0};  // structural ops completed stripe-scoped
-  std::atomic<uint64_t> scoped_fallback{0};    // ops starting in this stripe that degraded
-  std::atomic<uint64_t> fault_spec_ok{0};      // lock-free faults resolved in this stripe
-  std::atomic<uint64_t> fault_spec_retry{0};   // speculative attempts retried (same-stripe churn)
-  std::atomic<uint64_t> find_retries{0};       // optimistic walks of this stripe's tree retried
-  std::atomic<uint64_t> mmap_overflow{0};      // mmaps that overflowed INTO this stripe
-  std::atomic<uint64_t> sweep_flushes{0};      // deferred-sweep flushes of this stripe's queue
-};
-
-struct VmStats {
   std::atomic<uint64_t> mmaps{0};
   std::atomic<uint64_t> munmaps{0};
   std::atomic<uint64_t> mprotects{0};
+  std::atomic<uint64_t> faults{0};
+  std::atomic<uint64_t> major_faults{0};   // of the faults, pages actually installed
   std::atomic<uint64_t> fault_errors{0};   // unmapped address or protection violation
   std::atomic<uint64_t> fault_try_ok{0};        // fault admitted by the trylock fast path
   std::atomic<uint64_t> fault_try_fallback{0};  // trylock failed; blocked on the read lock
-  // Lock-free speculative fault path (scoped variants): attempts that had to retry
-  // (validation failure / torn metadata read), and faults that exhausted their attempts
-  // (or observed a gap, which only the locked path may adjudicate) and degraded to the
-  // trylock-first locked path. The per-fault success counters (faults, major_faults,
-  // fault_spec_ok) have NO flat atomic: see the aggregated accessors below.
+  // Lock-free speculative fault path (scoped variants): faults it resolved, attempts
+  // that had to retry (validation failure / torn metadata read, e.g. same-stripe
+  // churn), and faults that exhausted their attempts (or observed a gap, which only
+  // the locked path may adjudicate) and degraded to the trylock-first locked path.
+  std::atomic<uint64_t> fault_spec_ok{0};
   std::atomic<uint64_t> fault_spec_retry{0};
   std::atomic<uint64_t> fault_spec_fallback{0};
   std::atomic<uint64_t> spec_success{0};   // mprotect completed on the speculative path
@@ -63,6 +62,7 @@ struct VmStats {
   // Optimistic mm_rb walks (VmaStripe::FindOptimistic) that overlapped a structural
   // mutation and retried.
   std::atomic<uint64_t> find_retries{0};
+  std::atomic<uint64_t> mmap_overflow{0};  // mmaps that overflowed INTO this stripe
   // Deferred page sweeps (see README "Deferred page sweeps"): dead page ranges queued
   // by munmap and MADV_DONTNEED, enqueues that coalesced with already-queued ranges,
   // pages actually erased by the flusher, flush passes run, and sweeps skipped outright
@@ -73,25 +73,72 @@ struct VmStats {
   std::atomic<uint64_t> sweeps_swept_pages{0};    // pages erased by flushes
   std::atomic<uint64_t> sweeps_flushes{0};        // flush passes (claim + sweep)
   std::atomic<uint64_t> sweeps_skipped_empty{0};  // empty-VMA sweeps skipped
+};
 
-  // --- Per-stripe slices (sized by AddressSpace at construction) ---
+// Every counter of VmStripeStats, in declaration order; Fold() sums exactly these.
+inline constexpr std::atomic<uint64_t> VmStripeStats::*kVmCounters[] = {
+    &VmStripeStats::mmaps,               &VmStripeStats::munmaps,
+    &VmStripeStats::mprotects,           &VmStripeStats::faults,
+    &VmStripeStats::major_faults,        &VmStripeStats::fault_errors,
+    &VmStripeStats::fault_try_ok,        &VmStripeStats::fault_try_fallback,
+    &VmStripeStats::fault_spec_ok,       &VmStripeStats::fault_spec_retry,
+    &VmStripeStats::fault_spec_fallback, &VmStripeStats::spec_success,
+    &VmStripeStats::spec_retries,        &VmStripeStats::spec_fallback,
+    &VmStripeStats::scoped_structural,   &VmStripeStats::scoped_fallback,
+    &VmStripeStats::cross_stripe_fallback, &VmStripeStats::find_retries,
+    &VmStripeStats::mmap_overflow,       &VmStripeStats::sweeps_queued,
+    &VmStripeStats::sweeps_queued_pages, &VmStripeStats::sweeps_coalesced,
+    &VmStripeStats::sweeps_swept_pages,  &VmStripeStats::sweeps_flushes,
+    &VmStripeStats::sweeps_skipped_empty,
+};
+static_assert(sizeof(VmStripeStats) ==
+                  std::size(kVmCounters) * sizeof(std::atomic<uint64_t>),
+              "a VmStripeStats counter is missing from kVmCounters");
 
-  void ConfigureStripes(unsigned n) {
-    stripe_count_ = n;
-    per_stripe_ = std::make_unique<CacheAligned<VmStripeStats>[]>(n);
+// The flat totals (inherited) as of the last Fold(), plus the slot blocks that
+// operations count into.
+struct VmStats : VmStripeStats {
+  explicit VmStats(unsigned stripes) : blocks_(stripes) {}
+
+  // The calling thread's block: its slice of every stripe, indexed by stripe.
+  CacheAligned<VmStripeStats>* Mine() { return blocks_.Mine(); }
+
+  // Sums every slot block into the per-stripe view and the flat totals. Concurrent
+  // operations keep counting; a fold reads each counter once, at some point during
+  // the call. Folds are serialized, so totals never go backwards.
+  void Fold() {
+    constexpr std::size_t kN = std::size(kVmCounters);
+    const unsigned n = StripeCount();
+    std::vector<uint64_t> sums(n * kN, 0);
+    std::lock_guard<SpinLock> guard(fold_lock_);
+    blocks_.ForEach([&](const CacheAligned<VmStripeStats>* block) {
+      for (unsigned i = 0; i < n; ++i) {
+        for (std::size_t c = 0; c < kN; ++c) {
+          sums[i * kN + c] +=
+              (block[i].value.*kVmCounters[c]).load(std::memory_order_relaxed);
+        }
+      }
+    });
+    if (view_ == nullptr) {
+      view_ = std::make_unique<VmStripeStats[]>(n);
+    }
+    for (std::size_t c = 0; c < kN; ++c) {
+      uint64_t total = 0;
+      for (unsigned i = 0; i < n; ++i) {
+        (view_[i].*kVmCounters[c]).store(sums[i * kN + c], std::memory_order_relaxed);
+        total += sums[i * kN + c];
+      }
+      (this->*kVmCounters[c]).store(total, std::memory_order_relaxed);
+    }
   }
-  unsigned StripeCount() const { return stripe_count_; }
-  VmStripeStats& stripe(unsigned i) { return per_stripe_[i].value; }
-  const VmStripeStats& stripe(unsigned i) const { return per_stripe_[i].value; }
 
-  // The counters bumped once per successful fault are kept per-stripe ONLY, unlike
-  // the rest of the flat totals: at millions of faults a second a shared fetch_add
-  // per fault serializes every faulting thread on one cache line — exactly the
-  // cross-stripe coupling the stripes exist to remove. The flat totals for those
-  // aggregate on read instead.
-  uint64_t Faults() const { return SumStripes(&VmStripeStats::faults); }
-  uint64_t MajorFaults() const { return SumStripes(&VmStripeStats::major_faults); }
-  uint64_t FaultSpecOk() const { return SumStripes(&VmStripeStats::fault_spec_ok); }
+  unsigned StripeCount() const { return blocks_.Size(); }
+  // Stripe i's counters as of the last Fold().
+  const VmStripeStats& stripe(unsigned i) const { return view_[i]; }
+
+  uint64_t Faults() const { return faults.load(std::memory_order_relaxed); }
+  uint64_t MajorFaults() const { return major_faults.load(std::memory_order_relaxed); }
+  uint64_t FaultSpecOk() const { return fault_spec_ok.load(std::memory_order_relaxed); }
 
   // Fraction of page faults resolved entirely lock-free (scoped variants; 0 elsewhere).
   double FaultSpecRate() const {
@@ -133,16 +180,9 @@ struct VmStats {
   }
 
  private:
-  uint64_t SumStripes(std::atomic<uint64_t> VmStripeStats::*m) const {
-    uint64_t sum = 0;
-    for (unsigned i = 0; i < stripe_count_; ++i) {
-      sum += (per_stripe_[i].value.*m).load(std::memory_order_relaxed);
-    }
-    return sum;
-  }
-
-  unsigned stripe_count_ = 0;
-  std::unique_ptr<CacheAligned<VmStripeStats>[]> per_stripe_;
+  SlotBlocks<CacheAligned<VmStripeStats>> blocks_;
+  std::unique_ptr<VmStripeStats[]> view_;  // allocated by the first Fold()
+  SpinLock fold_lock_;
 };
 
 }  // namespace srl::vm

@@ -65,16 +65,14 @@ bool VmaStripe::TryFindOptimistic(uint64_t addr, Vma** vma, uint64_t* snapshot) 
   return true;
 }
 
-Vma* VmaStripe::FindOptimistic(uint64_t addr, VmStats* stats) const {
+Vma* VmaStripe::FindOptimistic(uint64_t addr, VmStripeStats& slice) const {
   for (;;) {
     Vma* vma = nullptr;
     uint64_t snapshot = 0;
     if (TryFindOptimistic(addr, &vma, &snapshot)) {
       return vma;
     }
-    if (stats != nullptr) {
-      stats->find_retries.fetch_add(1, std::memory_order_relaxed);
-    }
+    slice.find_retries.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

@@ -50,7 +50,7 @@
 
 namespace srl::vm {
 
-struct VmStats;
+struct VmStripeStats;
 
 // One address-space stripe: the PR 3 VmaIndex, demoted to a table entry. All comments
 // about lock ordering and optimistic walks from that design still hold, scoped to this
@@ -108,9 +108,9 @@ class VmaStripe {
 
   // As Find, but correct *without* excluding structural mutators: seqcount-validated
   // optimistic walk. The caller must be inside an epoch critical section so a
-  // concurrently retired VMA stays dereferenceable. Retries are counted into `stats`
-  // when provided.
-  Vma* FindOptimistic(uint64_t addr, VmStats* stats) const;
+  // concurrently retired VMA stays dereferenceable. Retries are counted into `slice`,
+  // the calling thread's counters for this stripe.
+  Vma* FindOptimistic(uint64_t addr, VmStripeStats& slice) const;
 
   // One bounded optimistic walk attempt. On success returns true, stores the result in
   // *vma (null for "no VMA in this stripe with End() > addr") and the even snapshot of

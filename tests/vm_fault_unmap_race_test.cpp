@@ -351,7 +351,6 @@ INSTANTIATE_TEST_SUITE_P(
                       RaceParam{VmVariant::kTreeFull, 1},
                       RaceParam{VmVariant::kListRefined, 1},
                       RaceParam{VmVariant::kListLfScoped, 1},
-                      RaceParam{VmVariant::kListLfFull, 1},
                       // Multi-stripe spaces: the install-then-validate ordering must
                       // hold per stripe, with generations spread across all four.
                       RaceParam{VmVariant::kTreeScoped, 4},

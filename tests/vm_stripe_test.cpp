@@ -1,7 +1,8 @@
 // Stripe-boundary semantics for the sharded address space: routing, the home-stripe
 // policy, overflow-to-neighbour allocation, the no-straddle invariant at window edges,
-// cross-stripe classification to the full-range path, and the per-stripe counter
-// isolation claim (churn in stripe A causes no speculative-fault retries in stripe B).
+// cross-stripe classification to the full-range path, the per-stripe counter isolation
+// claim (churn in stripe A causes no speculative-fault retries in stripe B), and exact
+// counts from per-thread counter slots that threads share.
 #include <atomic>
 #include <chrono>
 #include <set>
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "src/harness/prng.h"
+#include "src/sync/topology.h"
 #include "src/vm/address_space.h"
 #include "tests/common/test_clock.h"
 
@@ -404,6 +406,127 @@ TEST(VmStripeTest, ScopedOpsAccountToTheirStripe) {
   EXPECT_GT(as.Lock().RangedWriteAcquisitions(), 0u);
   EXPECT_EQ(as.Lock().FullWriteAcquisitions(), 0u)
       << "an in-stripe op degraded to the full-range path";
+  EXPECT_TRUE(as.CheckInvariants());
+}
+
+// Every VM counter is a per-thread-slot, per-stripe slice that Stats() folds. With more
+// threads than counter slots, threads share slots, and the counts must stay exact: every
+// flat total equals the sum of its per-stripe slices and the count the operations imply,
+// each stripe gets exactly its own operations, the lock's write counters match, and a
+// second fold with no operation in between changes nothing. A fold that skips one slot
+// block loses a thread's counts and fails here.
+TEST(VmStripeTest, CountersStayExactWhenThreadSlotsCollide) {
+  const unsigned slots = CounterSlots();
+  if (slots > 256) {
+    GTEST_SKIP() << slots << " counter slots: sharing them would take too many threads";
+  }
+  AddressSpace as(VmVariant::kListScoped, 4);
+  // Stripes 0-2 take the churn; stripe 3 holds only the shared mapping, so its faults
+  // never see a structural change and always resolve speculatively.
+  constexpr unsigned kChurnStripes = 3;
+  constexpr unsigned kSharedStripe = 3;
+  constexpr uint64_t kCycles = 32;
+  constexpr uint64_t kSharedPages = 8;
+  const unsigned threads = slots + 4;
+  const uint64_t shared =
+      as.MmapInStripe(kSharedStripe, kSharedPages * kPage, kProtRead | kProtWrite);
+  ASSERT_NE(shared, 0u);
+
+  std::atomic<bool> ok{true};
+  std::vector<std::thread> pool;
+  for (unsigned t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      const unsigned stripe = t % kChurnStripes;
+      for (uint64_t k = 0; k < kCycles; ++k) {
+        const uint64_t a = as.MmapInStripe(stripe, 4 * kPage, kProtRead | kProtWrite);
+        const bool cycle_ok = a != 0 && as.PageFault(a, true) &&
+                              as.Mprotect(a, 2 * kPage, kProtRead) &&  // split
+                              as.Munmap(a, 4 * kPage) &&
+                              as.PageFault(shared + (k % kSharedPages) * kPage, false);
+        if (!cycle_ok) {
+          ok.store(false);
+        }
+      }
+    });
+  }
+  for (auto& th : pool) {
+    th.join();
+  }
+  ASSERT_TRUE(ok.load());
+  as.DrainSweeps();  // sweeps every queued range; takes no range lock
+
+  const VmStats& st = as.Stats();
+  for (const auto counter : kVmCounters) {
+    uint64_t sum = 0;
+    for (unsigned i = 0; i < 4; ++i) {
+      sum += (st.stripe(i).*counter).load();
+    }
+    EXPECT_EQ((st.*counter).load(), sum) << "a flat total is not its stripes' sum";
+  }
+
+  const uint64_t all = uint64_t{threads} * kCycles;
+  for (unsigned i = 0; i < kChurnStripes; ++i) {
+    const VmStripeStats& s = st.stripe(i);
+    const uint64_t cycles = kCycles * ((threads + kChurnStripes - 1 - i) / kChurnStripes);
+    EXPECT_EQ(s.mmaps.load(), cycles) << "stripe " << i;
+    EXPECT_EQ(s.munmaps.load(), cycles) << "stripe " << i;
+    EXPECT_EQ(s.mprotects.load(), cycles) << "stripe " << i;
+    EXPECT_EQ(s.faults.load(), cycles) << "stripe " << i;
+    EXPECT_EQ(s.major_faults.load(), cycles) << "stripe " << i;
+    // Same-stripe churn may push a fault off the speculative path, but every fault
+    // resolves exactly once: speculatively, or through one locked attempt.
+    EXPECT_EQ(s.fault_spec_ok.load() + s.fault_spec_fallback.load(), cycles);
+    EXPECT_EQ(s.fault_try_ok.load() + s.fault_try_fallback.load(),
+              s.fault_spec_fallback.load());
+    EXPECT_EQ(s.spec_fallback.load(), cycles) << "every split takes the structural path";
+    EXPECT_EQ(s.scoped_structural.load(), 3 * cycles) << "stripe " << i;
+    EXPECT_EQ(s.sweeps_queued.load(), cycles) << "stripe " << i;
+    EXPECT_EQ(s.sweeps_queued_pages.load(), 4 * cycles) << "stripe " << i;
+    EXPECT_EQ(s.sweeps_swept_pages.load(), cycles) << "one faulted page per mapping";
+    EXPECT_GE(s.sweeps_flushes.load(), 1u) << "stripe " << i;
+  }
+  const VmStripeStats& sh = st.stripe(kSharedStripe);
+  EXPECT_EQ(sh.mmaps.load(), 1u);
+  EXPECT_EQ(sh.faults.load(), all);
+  EXPECT_EQ(sh.fault_spec_ok.load(), all) << "no churn in the shared stripe";
+  EXPECT_EQ(sh.fault_spec_retry.load(), 0u);
+  EXPECT_EQ(sh.major_faults.load(), kSharedPages);
+  EXPECT_EQ(sh.scoped_structural.load(), 1u);
+  EXPECT_EQ(sh.munmaps.load() + sh.mprotects.load() + sh.sweeps_queued.load(), 0u);
+
+  EXPECT_EQ(st.mmaps.load(), all + 1);
+  EXPECT_EQ(st.Faults(), 2 * all);
+  EXPECT_EQ(st.FaultSpecOk(), 2 * all - st.fault_spec_fallback.load());
+  EXPECT_EQ(st.MajorFaults(), all + kSharedPages);
+  EXPECT_EQ(st.sweeps_swept_pages.load(), all);
+  for (const auto zero : {&VmStripeStats::fault_errors, &VmStripeStats::spec_success,
+                          &VmStripeStats::scoped_fallback,
+                          &VmStripeStats::cross_stripe_fallback,
+                          &VmStripeStats::mmap_overflow, &VmStripeStats::sweeps_coalesced,
+                          &VmStripeStats::sweeps_skipped_empty}) {
+    EXPECT_EQ((st.*zero).load(), 0u);
+  }
+
+  // Ranged writes: one per mmap, munmap and structural mprotect, plus the write of
+  // every speculative mprotect attempt (each split retries or falls back once).
+  EXPECT_EQ(as.Lock().RangedWriteAcquisitions(), 4 * all + 1 + st.spec_retries.load());
+  EXPECT_EQ(as.Lock().FullWriteAcquisitions(), 0u);
+
+  std::vector<uint64_t> first;
+  for (const auto counter : kVmCounters) {
+    first.push_back((st.*counter).load());
+    for (unsigned i = 0; i < 4; ++i) {
+      first.push_back((st.stripe(i).*counter).load());
+    }
+  }
+  const VmStats& again = as.Stats();
+  std::size_t n = 0;
+  for (const auto counter : kVmCounters) {
+    EXPECT_EQ((again.*counter).load(), first[n++]) << "a second fold moved a total";
+    for (unsigned i = 0; i < 4; ++i) {
+      EXPECT_EQ((again.stripe(i).*counter).load(), first[n++]) << "stripe " << i;
+    }
+  }
   EXPECT_TRUE(as.CheckInvariants());
 }
 
