@@ -13,8 +13,15 @@
 //
 // Reclamation is the same non-blocking GraceTicket protocol as RetireList: batches
 // park with a snapshot of in-flight critical sections and are freed once the snapshot
-// has elapsed — MaybeFlush never blocks and is O(1) below the threshold (one relaxed
-// load). Only Flush() (destruction) runs a blocking barrier.
+// has elapsed — MaybeFlush is O(1) below the threshold (one relaxed load). Unlike
+// RetireList the backlog is bounded in memory, not only in bookkeeping: a stripe's
+// unmap rate is high enough that one section outliving a few grace windows (a reader
+// whose CPU was taken away mid-quantum) would grow the backlog by megabytes. Once
+// MaxParkedBatches() batches are parked, MaybeFlush stops parking and waits a grace
+// period out (Flush), so a stripe never holds more than MaxParkedBatches() + 1
+// flush thresholds of retired objects. Healthy quantum readers elapse a ticket
+// within one flush interval, so the wait runs only while some section is stalled —
+// and Barrier's watchdog evicts an idle quantum, so it cannot wait forever.
 //
 // Lock ordering: callers may invoke Retire() while holding the stripe's tree mutation
 // lock (the list lock nests inside it); MaybeFlush()/Flush() must be called holding no
@@ -40,10 +47,9 @@ class SharedRetireList {
   // core-count derivation — a high-churn stripe on a big box wants smaller batches so
   // grace snapshots stay short.
   static std::size_t DefaultFlushThreshold() { return RetireList::FlushThreshold(); }
-  // Bookkeeping bound, not a memory bound — beyond it new batches coalesce into the
-  // newest parked batch (ticket union) instead of blocking, exactly as RetireList
-  // (whose core-count derivation this shares).
-  static std::size_t MaxParkedBatches() { return RetireList::MaxParkedBatches(); }
+  // Memory bound on the parked backlog, in batches: reaching it makes MaybeFlush wait
+  // a grace period out instead of parking another batch (see the header comment).
+  static constexpr std::size_t MaxParkedBatches() { return 8; }
 
   SharedRetireList() = default;
   ~SharedRetireList() { Flush(); }
@@ -66,26 +72,37 @@ class SharedRetireList {
   }
 
   // Parks the pending batch once it is large and reaps parked batches whose grace has
-  // elapsed. Never blocks; free below the threshold. Call at operation boundaries
-  // holding no locks or ranges and outside any scoped epoch critical section (an open
+  // elapsed; free below the threshold. Blocks (Flush) only when MaxParkedBatches()
+  // batches are still parked after the reap. Call at operation boundaries holding no
+  // locks or ranges and outside any scoped epoch critical section (an open
   // epoch-per-quantum section on the calling thread is fine — between guards the
-  // caller holds no references, and the grace snapshot skips its record).
+  // caller holds no references, the grace snapshot skips its record, and Flush closes
+  // it before its barrier).
   void MaybeFlush() {
     if (pending_count_.load(std::memory_order_relaxed) < DefaultFlushThreshold()) {
       return;
     }
     EpochDomain::ThreadRec* rec = CurrentThreadRec(EpochDomain::Global());
     std::vector<Pending> to_free;
+    bool full = false;
     {
       std::lock_guard<SpinLock> g(lock_);
       Reap(&to_free);
-      Park(rec, &to_free);
+      full = parked_.size() >= MaxParkedBatches();
+      if (!full) {
+        Park(rec, &to_free);
+      }
     }
     FreeAll(to_free);
+    if (full) {
+      Flush();
+    }
   }
 
-  // Blocking drain: a full barrier, then everything retired so far is freed.
-  // Destruction-only by design (it can wait on another thread's idle open quantum).
+  // Blocking drain: a full barrier, then everything retired so far is freed. Runs at
+  // destruction and when MaybeFlush finds the parked backlog full; it can wait on
+  // another thread's stalled section, or on an idle open quantum until Barrier's
+  // watchdog evicts it.
   void Flush() {
     std::vector<Pending> to_free;
     {
@@ -149,16 +166,8 @@ class SharedRetireList {
       out->insert(out->end(), pending_.begin(), pending_.end());
       pending_.clear();
     } else {
-      EpochDomain::GraceTicket ticket = EpochDomain::Global().Snapshot(rec);
-      if (parked_.size() >= MaxParkedBatches()) {
-        Batch& newest = parked_.back();
-        newest.objs.insert(newest.objs.end(), pending_.begin(), pending_.end());
-        newest.ticket.Merge(std::move(ticket));
-        pending_.clear();
-      } else {
-        parked_.push_back({std::move(pending_), std::move(ticket)});
-        pending_ = {};
-      }
+      parked_.push_back({std::move(pending_), EpochDomain::Global().Snapshot(rec)});
+      pending_ = {};
     }
     pending_count_.store(0, std::memory_order_relaxed);
   }

@@ -5,25 +5,11 @@
 #include <thread>
 
 #include "src/epoch/epoch_domain.h"
-#include "src/sync/fence.h"
 #include "src/sync/topology.h"
 
 namespace srl::vm {
 
 namespace {
-
-// present_hint value meaning "unknown, assume populated". Whenever page custody
-// moves between VMA nodes (split tails, merge absorption, speculative-mprotect
-// boundary moves), a racing fault may still attribute its install to the donor node
-// — so a copied or summed hint on the receiver would not be a sound upper bound.
-// Every custody transfer therefore saturates the receiver's hint; this keeps the
-// empty-VMA sweep skip sound, and the next strict CheckInvariants resyncs the hint
-// to the exact count.
-constexpr uint64_t kHintSaturated = uint64_t{1} << 62;
-
-void SaturateHint(Vma* v) {
-  v->present_hint.store(kHintSaturated, std::memory_order_relaxed);
-}
 
 struct VariantConfig {
   VmLockKind kind;
@@ -117,7 +103,6 @@ AddressSpace::AddressSpace(VmVariant variant, unsigned stripes)
   pages_.ConfigureStripes(VmaIndex::kStripeShift - 12, kMmapBase / kPageSize, stripes_);
   cursors_ = std::make_unique<CacheAligned<std::atomic<uint64_t>>[]>(stripes_);
   sweeps_ = std::make_unique<CacheAligned<SweepQueue>[]>(stripes_);
-  sweep_gc_ = std::make_unique<CacheAligned<SweepGc>[]>(stripes_);
   for (unsigned i = 0; i < stripes_; ++i) {
     cursors_[i].value.store(VmaIndex::WindowBase(i), std::memory_order_relaxed);
   }
@@ -207,54 +192,27 @@ uint64_t AddressSpace::MmapInStripe(unsigned stripe, uint64_t length, uint32_t p
   return addr;
 }
 
-bool AddressSpace::ApplyMunmapLocked(uint64_t s, uint64_t e, unsigned lo, unsigned hi,
-                                     uint64_t* expected_present) {
-  // Pairs with the fence in PageFaultOptimistic between its install/hint increment and
-  // its seqcount validation. The caller's LockMutate bumped the stripe seqcount; this
-  // fence orders that store before the hint loads below, so for any racing speculative
-  // fault either (a) its validation sees the bump and it loses (undoing or handing off
-  // its install), or (b) our hint load sees its increment. Without the fence both
-  // loads can read old values (store-buffer reordering): a winning fault would keep
-  // its page while this op reads hint==0 — an unsound skip-empty and an unsound
-  // expected bound.
-  SeqCstFence();
+bool AddressSpace::ApplyMunmapLocked(uint64_t s, uint64_t e, unsigned lo, unsigned hi) {
   bool any = false;
-  *expected_present = 0;
   Vma* v = index_.Find(s, lo, hi);
   while (v != nullptr && v->Start() < e) {
     Vma* next = index_.Next(v, hi);
     const uint64_t vs = v->Start();
     const uint64_t ve = v->End();
-    // The page sweep exists to erase pages of the clipped/erased region; a VMA whose
-    // present_hint is zero provably never had one installed (the hint is an upper
-    // bound), so an unmap touching only such VMAs skips the sweep. Non-zero hints sum
-    // (saturating) into *expected_present: an upper bound on pages installed anywhere
-    // under the touched VMAs, hence on pages present in [s, e) — which bounds the
-    // flusher's probe. Sound against in-flight speculative faults via the fence above;
-    // locked faults are ordered by the mutation locks this op holds.
-    *expected_present = SweepQueue::SatAdd(
-        *expected_present, v->present_hint.load(std::memory_order_relaxed));
     if (s <= vs && e >= ve) {
       // Fully covered: remove.
       index_.EraseAndRetire(v);
     } else if (s <= vs) {
       // Head clipped. Key grows but stays below the successor's start (and inside the
-      // VMA's window: e < ve and the VMA never straddles a stripe edge). The hint stays
-      // — still an upper bound for the smaller range.
+      // VMA's window: e < ve and the VMA never straddles a stripe edge).
       v->start.store(e, std::memory_order_relaxed);
     } else if (e >= ve) {
       // Tail clipped.
       v->end.store(s, std::memory_order_relaxed);
     } else {
-      // Hole in the middle: shrink v to the head, insert a new VMA for the tail. The
-      // tail takes custody of pages whose installs were counted against the parent —
-      // and a locked fault on a tail page outside this op's padded lock range may
-      // still be incrementing the parent's hint — so the receiver saturates (see
-      // kHintSaturated) rather than copying a possibly-stale value.
+      // Hole in the middle: shrink v to the head, insert a new VMA for the tail.
       v->end.store(s, std::memory_order_relaxed);
-      Vma* tail = AllocVma(e, ve, v->Prot());
-      SaturateHint(tail);
-      index_.Insert(tail);
+      index_.Insert(AllocVma(e, ve, v->Prot()));
     }
     any = true;
     v = next;
@@ -290,16 +248,13 @@ bool AddressSpace::Munmap(uint64_t addr, uint64_t length) {
         void* h = lock_->LockWrite({ls, le});
         VmaStripe& st = index_.Stripe(si);
         st.LockMutate();
-        uint64_t expected = 0;
-        const bool any = ApplyMunmapLocked(s, e, si, si, &expected);
+        const bool any = ApplyMunmapLocked(s, e, si, si);
         st.UnlockMutate();
-        if (any && expected > 0) {
+        if (any) {
           // Enqueue strictly after the seqcount bump (UnlockMutate above closed the
           // write section), so every flush of this range is ordered after the bump —
           // the deferred half of the install-then-validate ordering argument.
-          EnqueueSweepRange(s, e, mine, expected);
-        } else if (any) {
-          slice.sweeps_skipped_empty.fetch_add(1, std::memory_order_relaxed);
+          EnqueueSweepRange(s, e, mine);
         }
         lock_->UnlockWrite(h);
         slice.scoped_structural.fetch_add(1, std::memory_order_relaxed);
@@ -319,30 +274,23 @@ bool AddressSpace::Munmap(uint64_t addr, uint64_t length) {
   const unsigned hi = index_.IndexOf(e - 1);
   void* h = lock_->LockFullWrite();
   index_.LockMutateRange(lo, hi);
-  uint64_t expected = 0;
-  const bool any = ApplyMunmapLocked(s, e, lo, hi, &expected);
+  const bool any = ApplyMunmapLocked(s, e, lo, hi);
   index_.UnlockMutateRange(lo, hi);
-  if (any && expected > 0) {
-    EnqueueSweepRange(s, e, mine, expected);
-  } else if (any) {
-    slice.sweeps_skipped_empty.fetch_add(1, std::memory_order_relaxed);
+  if (any) {
+    EnqueueSweepRange(s, e, mine);
   }
   lock_->UnlockWrite(h);
   index_.MaybeFlushRetired(lo, hi);
-  for (unsigned i = lo; i <= hi; ++i) {
-    MaybeFlushSweeps(i);
-  }
+  MaybeFlushSweeps(s, e);
   return any;
 }
 
 void AddressSpace::EnqueueSweepRange(uint64_t s, uint64_t e,
-                                     CacheAligned<VmStripeStats>* mine,
-                                     uint64_t expected) {
+                                     CacheAligned<VmStripeStats>* mine) {
   // Split at stripe-window edges so each piece lands on its own stripe's queue (the
   // queue assignment is a locality choice, not a correctness one — any queue's flush
   // erases the right pages). Addresses below/above every window (clamped margins) go
-  // to the nearest window's queue. Each piece carries the caller's full `expected`
-  // bound — an upper bound on the whole range is one on each piece.
+  // to the nearest window's queue.
   uint64_t cur = s;
   while (cur < e) {
     const unsigned si = index_.IndexOf(cur);
@@ -352,7 +300,7 @@ void AddressSpace::EnqueueSweepRange(uint64_t s, uint64_t e,
     }
     const uint64_t first = cur / kPageSize;
     const uint64_t last = nxt / kPageSize;
-    const std::size_t absorbed = sweeps_[si].value.Enqueue(first, last, expected);
+    const std::size_t absorbed = sweeps_[si].value.Enqueue(first, last);
     VmStripeStats& slice = mine[si].value;
     slice.sweeps_queued.fetch_add(1, std::memory_order_relaxed);
     slice.sweeps_queued_pages.fetch_add(last - first, std::memory_order_relaxed);
@@ -365,53 +313,20 @@ void AddressSpace::EnqueueSweepRange(uint64_t s, uint64_t e,
 
 void AddressSpace::FlushSweeps(unsigned si) {
   SweepQueue& q = sweeps_[si].value;
-  SweepGc& gc = sweep_gc_[si].value;
   const std::vector<SweepQueue::Range> ranges = q.Claim();
-  if (!ranges.empty()) {
-    const uint64_t batch = gc.batch.fetch_add(1, std::memory_order_relaxed) + 1;
-    uint64_t pages = 0;
-    for (const SweepQueue::Range& r : ranges) {
-      // The range's expected bound caps the probe: a sparsely-faulted region costs
-      // its installs, not its size. sweeps_swept_pages counts pages ACTUALLY erased.
-      uint64_t resume = r.first;
-      const uint64_t erased = pages_.RemoveRange(r.first, r.last, r.expected, &resume);
-      pages += erased;
-      // A probe that spent its whole finite budget before reaching the end may have
-      // been robbed (a losing fault's transient install soaked up a unit meant for a
-      // real dead page past the stop point): keep the range as a tombstone so the
-      // robbed loser's RaiseClaimed still finds it. A full walk leaves no survivors
-      // and settles immediately.
-      const bool may_survive = r.expected != SweepQueue::kUnbounded &&
-                               erased == r.expected && resume < r.last;
-      q.FinishClaimed(r.first, r.last, resume, may_survive, batch);
-    }
-    VmStripeStats& slice = stats_.Mine()[si].value;
-    slice.sweeps_flushes.fetch_add(1, std::memory_order_relaxed);
-    slice.sweeps_swept_pages.fetch_add(pages, std::memory_order_relaxed);
+  if (ranges.empty()) {
+    return;
   }
-  // Tombstone GC: a tombstone settles for free once every fault in flight at its
-  // finish has exited (all possible thieves have raised by then). One armed grace
-  // ticket per stripe; polling is non-blocking, so this adds a few loads per flush.
-  if (q.NewestFinishedBatch() != 0 || gc.armed) {
-    EpochDomain::ThreadRec* rec = CurrentThreadRec(EpochDomain::Global());
-    std::lock_guard<SpinLock> g(gc.lock);
-    if (gc.armed && gc.ticket.Elapsed()) {
-      q.PurgeFinishedUpTo(gc.hi);
-      gc.armed = false;
-    }
-    if (!gc.armed) {
-      const uint64_t newest = q.NewestFinishedBatch();
-      if (newest != 0) {
-        if (EpochDomain::Global().QuiescentNow(rec)) {
-          q.PurgeFinishedUpTo(newest);  // nothing in flight: trivially settled
-        } else {
-          gc.ticket = EpochDomain::Global().Snapshot(rec);
-          gc.hi = newest;
-          gc.armed = true;
-        }
-      }
-    }
+  uint64_t pages = 0;
+  for (const SweepQueue::Range& r : ranges) {
+    // A full walk of the range's resident page-table leaves; sweeps_swept_pages counts
+    // pages ACTUALLY erased.
+    pages += pages_.RemoveRange(r.first, r.last);
+    q.FinishClaimed(r);
   }
+  VmStripeStats& slice = stats_.Mine()[si].value;
+  slice.sweeps_flushes.fetch_add(1, std::memory_order_relaxed);
+  slice.sweeps_swept_pages.fetch_add(pages, std::memory_order_relaxed);
 }
 
 void AddressSpace::MaybeFlushSweeps(unsigned si) {
@@ -420,29 +335,27 @@ void AddressSpace::MaybeFlushSweeps(unsigned si) {
   }
 }
 
+void AddressSpace::MaybeFlushSweeps(uint64_t s, uint64_t e) {
+  const unsigned hi = index_.IndexOf(e - 1);
+  for (unsigned i = index_.IndexOf(s); i <= hi; ++i) {
+    MaybeFlushSweeps(i);
+  }
+}
+
 void AddressSpace::DrainSweeps() {
   // First pass erases everything enqueued so far; the epoch barrier then waits out
-  // every in-flight fault (a loser that handed its undo to a pending sweep has either
-  // completed its undo or its page was claimed above; a robbed loser has posted its
-  // RaiseClaimed compensation; a stale speculative install that re-surfaced a
-  // just-swept page fails validation against the bumped seqcount and undoes inside
-  // the barrier); the second pass erases anything those stragglers re-enqueued or
-  // raised. Afterwards no page survives in any range unmapped (or DONTNEED'd) before
-  // this call began. The barrier doubles as the tombstones' grace period: every
-  // tombstone settled before it can have no late thief left, so purge those outright
-  // instead of waiting for the flusher's ticket — this keeps the invariant checker's
-  // orphan tolerance (CoversPending) from masking ranges that are in fact settled.
-  std::vector<uint64_t> cut(stripes_, 0);
+  // every in-flight fault (a stale speculative install that re-surfaced a just-swept
+  // page fails validation against the bumped seqcount and undoes inside the barrier);
+  // the second pass erases anything enqueued meanwhile. Afterwards no page survives in
+  // any range unmapped (or DONTNEED'd) before this call began.
   for (unsigned i = 0; i < stripes_; ++i) {
     FlushSweeps(i);
-    cut[i] = sweeps_[i].value.NewestFinishedBatch();
   }
   EpochDomain::ThreadRec* rec = CurrentThreadRec(EpochDomain::Global());
   EpochDomain::QuiesceQuantum(rec);
   EpochDomain::Global().Barrier(rec);
   for (unsigned i = 0; i < stripes_; ++i) {
     FlushSweeps(i);
-    sweeps_[i].value.PurgeFinishedUpTo(cut[i]);
   }
 }
 
@@ -522,10 +435,6 @@ bool AddressSpace::ApplyMprotectLocked(uint64_t s, uint64_t e, uint32_t prot,
     }
     if (v->Start() < s) {
       Vma* tail = AllocVma(s, v->End(), v->Prot());
-      // Split pieces take custody of pages counted against the parent (whose hint a
-      // racing out-of-range fault may still be incrementing): every custody transfer
-      // saturates the receiver, and the next strict CheckInvariants resyncs to exact.
-      SaturateHint(tail);
       v->end.store(s, std::memory_order_relaxed);
       index_.Insert(tail);
       v = tail;
@@ -533,7 +442,6 @@ bool AddressSpace::ApplyMprotectLocked(uint64_t s, uint64_t e, uint32_t prot,
     }
     if (v->End() > e) {
       Vma* tail = AllocVma(e, v->End(), v->Prot());
-      SaturateHint(tail);
       v->end.store(e, std::memory_order_relaxed);
       index_.Insert(tail);
     }
@@ -549,11 +457,6 @@ bool AddressSpace::ApplyMprotectLocked(uint64_t s, uint64_t e, uint32_t prot,
     Vma* next = index_.Next(m, hi);
     if (next != nullptr && m->End() == next->Start() && m->Prot() == next->Prot() &&
         index_.IndexOf(m->Start()) == index_.IndexOf(next->Start())) {
-      // The merged VMA takes custody of the absorbed one's pages; a speculative fault
-      // that validated just before this mutate section may have incremented the
-      // absorbed VMA's hint without that (relaxed) increment being visible here, so
-      // the receiver saturates like every other custody transfer.
-      SaturateHint(m);
       m->end.store(next->End(), std::memory_order_relaxed);
       index_.EraseAndRetire(next);
       continue;  // try to absorb further
@@ -737,13 +640,6 @@ bool AddressSpace::Mprotect(uint64_t addr, uint64_t length, uint32_t prot) {
           // (locked, unreachable-to-locked-readers) gap rather than a transient
           // overlap.
           Vma* prev = VmaStripe::Prev(vma);
-          // The receiver may gain pages whose installs were (or will be, by a fault
-          // that read the old bounds) attributed to the donor, so its own hint stops
-          // being a sound upper bound. Saturate it: never under-counts, never lets an
-          // unmap of the receiver skip its sweep, and the next strict CheckInvariants
-          // resyncs it to the exact count. The donor keeps its hint (a bound on a
-          // superset range is a bound on the shrunk one).
-          SaturateHint(prev);
           vma->meta_seq.BeginWrite();
           prev->meta_seq.BeginWrite();
           vma->start.store(e, std::memory_order_relaxed);
@@ -754,7 +650,6 @@ bool AddressSpace::Mprotect(uint64_t addr, uint64_t length, uint32_t prot) {
         }
         case SpecCase::kTailMove: {
           Vma* next = VmaStripe::Next(vma);
-          SaturateHint(next);  // receiver side — see kHeadMove
           vma->meta_seq.BeginWrite();
           next->meta_seq.BeginWrite();
           vma->end.store(s, std::memory_order_relaxed);
@@ -791,7 +686,6 @@ bool AddressSpace::PageFaultLocked(uint64_t addr, bool is_write, uint64_t page_a
   if (ok) {
     const uint64_t page = page_addr / kPageSize;
     if (pages_.Install(page)) {
-      vma->present_hint.fetch_add(1, std::memory_order_relaxed);
       slice.major_faults.fetch_add(1, std::memory_order_relaxed);
     }
     // The page is (re-)validated present under a mapping: punch it out of any
@@ -896,7 +790,6 @@ int AddressSpace::PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t pag
         std::this_thread::yield();
       }
       if (pages_.Install(page_addr / kPageSize)) {
-        vma->present_hint.fetch_add(1, std::memory_order_relaxed);
         slice.major_faults.fetch_add(1, std::memory_order_relaxed);
       }
       slice.fault_spec_ok.fetch_add(1, std::memory_order_relaxed);
@@ -906,67 +799,25 @@ int AddressSpace::PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t pag
     const uint64_t page = page_addr / kPageSize;
     uint64_t ticket = 0;
     const bool installed = pages_.Install(page, &ticket);
-    if (installed) {
-      // Count against the hint before validating, so a loser's (possible) decrement
-      // always follows its own increment and the hint never dips below the true count.
-      vma->present_hint.fetch_add(1, std::memory_order_relaxed);
-      // Pairs with the fence in ApplyMunmapLocked: orders the hint increment above
-      // before the seqcount load in ValidateSeq below. Either a racing munmap's hint
-      // read sees the increment (its sweep bound covers this install), or this
-      // validation sees its seqcount bump and the fault loses. Locked faults need no
-      // fence — the range lock orders them against munmap wholesale.
-      SeqCstFence();
-    }
     for (uint32_t i = 0; i < test_spec_window_yields_; ++i) {
       std::this_thread::yield();
     }
     if (installed) {
-      // Test-only deterministic park gate (TestOnlyParkNextSpecFault): hold this
-      // fault inside the install→validate window until the test releases it.
-      uint32_t pend = test_spec_park_pending_.load(std::memory_order_acquire);
-      if (pend != 0 && test_spec_park_pending_.compare_exchange_strong(
-                           pend, 0, std::memory_order_acq_rel)) {
-        test_spec_parked_.store(true, std::memory_order_release);
-        const auto backstop =
-            std::chrono::steady_clock::now() + std::chrono::seconds(5);
-        while (!test_spec_park_release_.load(std::memory_order_acquire) &&
-               std::chrono::steady_clock::now() < backstop) {
-          std::this_thread::yield();
-        }
-      }
+      TestOnlyMaybePark(kParkBeforeValidate);
     }
     if (!stripe.ValidateSeq(iseq) || vma->Detached()) {
       if (installed) {
         if (test_undo_sweep_check_) {
-          // Deferred-sweep-aware undo. A pending sweep covering the page hands the
-          // erase to the flusher: the sweep was enqueued (queue lock) before this
-          // check read it, so the flusher's claim — and therefore its erase — is
-          // ordered after our install; removing here too would be a double undo
-          // window. Handing off also raises the range's expected bound by one (our
-          // install happened after the munmap summed the hints, so the bound may not
-          // count it — the bounded probe must not stop short of our page). No pending
-          // sweep means any covering sweep was already claimed and may have erased
-          // our install and let a winning fault re-install the page — RemoveExact
-          // removes only our own install (ticket match), never the winner's, and the
-          // hint is decremented only when we actually removed. When RemoveExact finds
-          // the page already gone, a claimed sweep erased our transient install — and
-          // if its probe was budget-bounded, the unit it spent on us was meant for a
-          // real dead page that may now sit past the probe's stop point. RaiseClaimed
-          // re-arms the claimed range's unprobed tail with one budget unit; a miss
-          // means the erasing probe ran to completion, which leaves no survivors.
-          if (!sweeps_[si].value.DeferUndoToPending(page)) {
-            if (pages_.RemoveExact(page, ticket)) {
-              vma->present_hint.fetch_sub(1, std::memory_order_relaxed);
-            } else {
-              sweeps_[si].value.RaiseClaimed(page);
-            }
-          }
+          // Ticket-exact undo: a claimed sweep may already have erased our install and
+          // let a winning fault re-install the page; RemoveExact removes only our own
+          // install (ticket match), never the winner's. Every sweep walks its whole
+          // range, so an install the sweep erased needs nothing further from us.
+          pages_.RemoveExact(page, ticket);
         } else {
           // TEST-ONLY pre-deferral blind undo (TestOnlySetUndoSweepCheck(false)): can
           // erase a winner's re-install after a sweep flushed ours — the stale-absence
           // the extended fault-vs-unmap oracle exists to catch.
           pages_.Remove(page);
-          vma->present_hint.fetch_sub(1, std::memory_order_relaxed);
         }
       }
       slice.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
@@ -975,18 +826,41 @@ int AddressSpace::PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t pag
     if (installed) {
       slice.major_faults.fetch_add(1, std::memory_order_relaxed);
     }
+    TestOnlyMaybePark(kParkAfterValidate);
     // WINNING fault only: the unchanged seqcount proves the mapping stayed live from
-    // walk through validate, so any still-pending sweep covering this page is a
+    // walk through validate, so a sweep pending at validation covering this page is a
     // DONTNEED on the live mapping — punch the page out so the deferred erase cannot
     // undo a fault that completed after the madvise call (the repopulation contract;
     // see SweepQueue::CancelPending). A LOSER must not cancel: its stale walk may have
     // found the VMA a munmap just unlinked, and cancelling there would disarm the
-    // munmap's own sweep and strand a pre-munmap install.
-    sweeps_[si].value.CancelPending(page);
+    // munmap's own sweep and strand a pre-munmap install. Nor may a winner keep a
+    // cancel of a sweep enqueued after its validation: a munmap of this page can run
+    // between the two, and its pending sweep is what the cancel just punched. A
+    // munmap bumps the stripe seqcount before it enqueues, so a cancel followed by a
+    // failed re-validation puts the page back; when the bump came from another
+    // structural op, the re-queued page is only a spurious MADV_DONTNEED.
+    SweepQueue& q = sweeps_[si].value;
+    if (q.CancelPending(page) && !stripe.ValidateSeq(iseq)) {
+      q.Enqueue(page, page + 1);
+    }
     slice.fault_spec_ok.fetch_add(1, std::memory_order_relaxed);
     return 1;
   }
   return -1;
+}
+
+void AddressSpace::TestOnlyMaybePark(uint32_t where) {
+  uint32_t pend = test_spec_park_pending_.load(std::memory_order_acquire);
+  if (pend != where || !test_spec_park_pending_.compare_exchange_strong(
+                           pend, 0, std::memory_order_acq_rel)) {
+    return;
+  }
+  test_spec_parked_.store(true, std::memory_order_release);
+  const auto backstop = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!test_spec_park_release_.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < backstop) {
+    std::this_thread::yield();
+  }
 }
 
 bool AddressSpace::PageFault(uint64_t addr, bool is_write) {
@@ -1036,13 +910,12 @@ bool AddressSpace::MadviseDontNeed(uint64_t addr, uint64_t length) {
   }
   // MADV_DONTNEED runs under the read acquisition in the kernel: it only drops pages.
   // The drop is enqueued (see the header for the exact contract — only pre-call
-  // installs are guaranteed gone, and only once the sweep flushes). No present_hint is
-  // decremented: the hint is an upper bound and only a fault's own exact undo may
-  // lower it.
+  // installs are guaranteed gone, and only once the sweep flushes), one piece per
+  // covered stripe, so every covered stripe's queue gets its flush check.
   void* h = lock_->LockRead(refine_fault_ ? Range{s, e} : Range::Full());
   EnqueueSweepRange(s, e, stats_.Mine());
   lock_->UnlockRead(h);
-  MaybeFlushSweeps(index_.IndexOf(s));
+  MaybeFlushSweeps(s, e);
   return true;
 }
 
@@ -1059,7 +932,7 @@ std::vector<VmaInfo> AddressSpace::SnapshotVmas() {
   return out;
 }
 
-bool AddressSpace::CheckInvariants(bool strict_present_counts) {
+bool AddressSpace::CheckInvariants() {
   // Settle the deferred sweeps BEFORE taking the full write lock: DrainSweeps runs an
   // epoch barrier, and a barrier under the lock could stall every other operation for
   // the force-quiesce watchdog period.
@@ -1074,19 +947,6 @@ bool AddressSpace::CheckInvariants(bool strict_present_counts) {
     ok = vs < ve && vs % kPageSize == 0 && ve % kPageSize == 0 && vs >= prev_end &&
          // No VMA may straddle a stripe-window edge: stripe-local lookups depend on it.
          index_.IndexOf(vs) == index_.IndexOf(ve - 1);
-    if (ok && strict_present_counts) {
-      // The hint must bound the exact count from above (a hint below it would let an
-      // unmap skip a sweep whose pages exist — the stale-page bug class); once proven,
-      // resync it so hint-based decisions stay tight. Only sound for quiescent
-      // callers: a concurrent fault's install lands in the count before its hint
-      // increment is visible.
-      const uint64_t actual = pages_.CountRange(vs / kPageSize, ve / kPageSize);
-      if (v->present_hint.load(std::memory_order_relaxed) < actual) {
-        ok = false;
-      } else {
-        v->present_hint.store(actual, std::memory_order_relaxed);
-      }
-    }
     prev_end = ve;
   }
   if (ok) {
@@ -1108,9 +968,8 @@ bool AddressSpace::CheckInvariants(bool strict_present_counts) {
       // install→validate→undo window, which preemption can stretch across this
       // entire scan — and our full write lock does not order lock-free faults.
       // Settle instead of flaking: drop the lock, drain (the barrier waits out every
-      // such fault and the second flush applies any undo or RaiseClaimed
-      // compensation it posted), and re-examine only the recorded suspects. A real
-      // leak survives the drain and still fails.
+      // such fault, so its undo has landed), and re-examine only the recorded
+      // suspects. A real leak survives the drain and still fails.
       lock_->UnlockWrite(h);
       DrainSweeps();
       h = lock_->LockFullWrite();

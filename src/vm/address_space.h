@@ -60,7 +60,6 @@
 
 #include "src/epoch/epoch_domain.h"
 #include "src/epoch/sweep_queue.h"
-#include "src/sync/spin_lock.h"
 #include "src/vm/page_table.h"
 #include "src/vm/vm_lock.h"
 #include "src/vm/vm_stats.h"
@@ -179,11 +178,10 @@ class AddressSpace {
   void SetSweepFlushThreshold(uint64_t pages);
 
   // Drain barrier: flushes every stripe's queue, waits out every in-flight fault (an
-  // epoch barrier — a losing fault that handed its undo to a pending sweep, or a stale
-  // walker resurrecting a just-swept page, completes or undoes inside it), then
-  // flushes again. Afterwards no page survives in any unmapped or DONTNEED'd range —
-  // the deferred-sweep restatement of the fault-vs-unmap batteries' invariant. Call
-  // holding no locks or ranges.
+  // epoch barrier — a stale walker resurrecting a just-swept page undoes inside it),
+  // then flushes again. Afterwards no page survives in any unmapped or DONTNEED'd
+  // range — the deferred-sweep restatement of the fault-vs-unmap batteries'
+  // invariant. Call holding no locks or ranges.
   void DrainSweeps();
 
   // Pages enqueued and not yet swept, summed over stripes (racy; tests/benches).
@@ -214,18 +212,14 @@ class AddressSpace {
   std::vector<VmaInfo> SnapshotVmas();
   // VMAs sorted, non-overlapping, page-aligned, trees structurally valid, no VMA
   // straddling a stripe-window edge, and no page present outside a mapped VMA (modulo
-  // pages a still-pending sweep covers). Runs DrainSweeps first so the page-table view
-  // is consistent. With `strict_present_counts` (the default — sequential callers),
-  // additionally asserts every VMA's present_hint is a sound upper bound on its
-  // CountRange and resyncs the hint to the exact count; callers racing live faulters
-  // (the concurrent fuzz checker) must pass false, because in-flight installs make the
-  // hint transiently unordered against any count snapshot.
-  bool CheckInvariants(bool strict_present_counts = true);
+  // pages a pending or in-flight sweep covers). Runs DrainSweeps first so the
+  // page-table view is consistent. Safe to call while other threads fault and unmap.
+  bool CheckInvariants();
   std::size_t PresentPages() const { return pages_.Count(); }
-  // Present pages within [addr, addr+length) — lock-free racy count (the fault-vs-unmap
-  // batteries assert this drains to zero, post-DrainSweeps, for unmapped, never-reused
-  // ranges). An empty range counts zero pages even when addr is mid-page (the
-  // PageDown/PageUp mix used to widen length == 0 to a full page).
+  // Present pages within [addr, addr+length) — a racy count over the range's page-table
+  // leaves (the fault-vs-unmap batteries assert this drains to zero, post-DrainSweeps,
+  // for unmapped, never-reused ranges). An empty range counts zero pages even when addr
+  // is mid-page (the PageDown/PageUp mix used to widen length == 0 to a full page).
   std::size_t PresentPagesInRange(uint64_t addr, uint64_t length) const {
     if (length == 0) {
       return 0;
@@ -246,26 +240,28 @@ class AddressSpace {
     test_spec_window_yields_ = window_yields;
   }
 
-  // Sweeps are deferred, so the losing-fault undo must consult the sweep queue and use
-  // its install ticket (see PageFaultOptimistic): a pending sweep covering the page
-  // makes the undo the flusher's job, and an already-claimed sweep may have erased and
-  // let a winning fault re-install the page — which a blind Remove would destroy,
-  // driving the winner's VMA present_hint below the true count. `false` reverts to the
-  // pre-deferral blind undo (Remove + unconditional hint decrement) so the extended
-  // fault-vs-unmap oracle can demonstrate it catches the missing check. Tests only.
+  // Sweeps are deferred, so the losing-fault undo must use its install ticket (see
+  // PageFaultOptimistic): a sweep may have erased its install and let a winning fault
+  // re-install the page, which a blind Remove would destroy. `false` reverts to the
+  // pre-deferral blind undo (Remove) so the extended fault-vs-unmap oracle can
+  // demonstrate it catches the missing check. Tests only.
   void TestOnlySetUndoSweepCheck(bool on) { test_undo_sweep_check_ = on; }
 
   // Deterministic interleaving gate for the install→validate window: the NEXT
   // speculative fault to install a page consumes the (one-shot) token, flags itself
   // parked, and spins until TestOnlyReleaseParkedFault() — so a test can run an exact
   // sequence of structural operations inside the window instead of hoping a yield
-  // count outlasts them. The park self-releases after ~5s as a hang backstop. Waiting
-  // on TestOnlySpecFaultParked() (not on page presence) before proceeding guarantees
-  // the token is consumed and cannot strand a later fault. Tests only.
-  void TestOnlyParkNextSpecFault() {
+  // count outlasts them. With `after_validate`, the next fault to pass its validation
+  // parks instead, between the validation and its CancelPending. The park
+  // self-releases after ~5s as a hang backstop. Waiting on TestOnlySpecFaultParked()
+  // (not on page presence) before proceeding guarantees the token is consumed and
+  // cannot strand a later fault. Tests only.
+  void TestOnlyParkNextSpecFault(bool after_validate = false) {
     test_spec_park_release_.store(false, std::memory_order_release);
     test_spec_parked_.store(false, std::memory_order_release);
-    test_spec_park_pending_.store(1, std::memory_order_release);
+    test_spec_park_pending_.store(
+        after_validate ? kParkAfterValidate : kParkBeforeValidate,
+        std::memory_order_release);
   }
   bool TestOnlySpecFaultParked() const {
     return test_spec_parked_.load(std::memory_order_acquire);
@@ -309,6 +305,12 @@ class AddressSpace {
   int PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t page_addr,
                           VmStripeStats& slice);
 
+  // The park gate (TestOnlyParkNextSpecFault): parks the calling fault if the pending
+  // token names `where`, consuming it.
+  static constexpr uint32_t kParkBeforeValidate = 1;
+  static constexpr uint32_t kParkAfterValidate = 2;
+  void TestOnlyMaybePark(uint32_t where);
+
   // Retry budget before the speculative fault degrades to the locked path. Retries are
   // caused by overlapping structural mutations of the SAME stripe — rare per-fault, so
   // a small budget keeps the worst case bounded without giving up the common case.
@@ -327,20 +329,14 @@ class AddressSpace {
 
   // Munmap mutation loop; caller holds a write acquisition covering [s-pg, e+pg) (or
   // the full range) and the mutation locks of stripes [lo, hi], which cover the range.
-  // Sets *expected_present to the saturating sum of the clipped/erased VMAs'
-  // present_hints — a proven upper bound on pages still installed in [s, e). Zero
-  // means the unmap skips the page sweep entirely; a finite value bounds the deferred
-  // flusher's probe (SweepQueue::Range::expected).
-  bool ApplyMunmapLocked(uint64_t s, uint64_t e, unsigned lo, unsigned hi,
-                         uint64_t* expected_present);
+  // Returns false when the range touches no mapping.
+  bool ApplyMunmapLocked(uint64_t s, uint64_t e, unsigned lo, unsigned hi);
 
   // Splits the page-aligned byte range [s, e) at stripe-window edges and enqueues each
   // piece on its stripe's sweep queue, counting it in that stripe's slice of `mine`
-  // (the calling thread's counter block); every piece carries the full `expected`
-  // present-page bound (an upper bound for each). Caller may hold range locks —
-  // enqueueing never sweeps.
-  void EnqueueSweepRange(uint64_t s, uint64_t e, CacheAligned<VmStripeStats>* mine,
-                         uint64_t expected = SweepQueue::kUnbounded);
+  // (the calling thread's counter block). Caller may hold range locks — enqueueing
+  // never sweeps.
+  void EnqueueSweepRange(uint64_t s, uint64_t e, CacheAligned<VmStripeStats>* mine);
 
   // Claims and sweeps stripe `si`'s queue. Call holding no locks or ranges.
   void FlushSweeps(unsigned si);
@@ -348,6 +344,8 @@ class AddressSpace {
   // "epoch-tick" of the design: called at operation boundaries, where the caller
   // holds no locks and (for fault paths) sits between epoch quantums.
   void MaybeFlushSweeps(unsigned si);
+  // MaybeFlushSweeps for every stripe the byte range [s, e) covers.
+  void MaybeFlushSweeps(uint64_t s, uint64_t e);
 
   // Full-path mprotect body; same caller contract as ApplyMunmapLocked. Returns false
   // on uncovered ranges.
@@ -393,20 +391,6 @@ class AddressSpace {
   // lists: a page range's queue is its stripe's, so stripe-confined churn flushes
   // without touching (or locking) another stripe's queue.
   std::unique_ptr<CacheAligned<SweepQueue>[]> sweeps_;
-  // Per-stripe tombstone GC: budget-exhausted sweeps leave tombstones in their queue
-  // (see SweepQueue::FinishClaimed) that must outlive every fault in flight when they
-  // settled — any of those could be a robbed loser still owing a RaiseClaimed. One
-  // grace ticket per stripe covers every settled batch up to `hi`; when it elapses
-  // (non-blocking poll on the next flush) those batches purge for free. `batch` hands
-  // each flush its monotone stamp.
-  struct SweepGc {
-    SpinLock lock;
-    EpochDomain::GraceTicket ticket;
-    uint64_t hi = 0;
-    bool armed = false;
-    std::atomic<uint64_t> batch{0};
-  };
-  std::unique_ptr<CacheAligned<SweepGc>[]> sweep_gc_;
 };
 
 }  // namespace srl::vm

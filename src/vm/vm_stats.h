@@ -65,14 +65,12 @@ struct VmStripeStats {
   std::atomic<uint64_t> mmap_overflow{0};  // mmaps that overflowed INTO this stripe
   // Deferred page sweeps (see README "Deferred page sweeps"): dead page ranges queued
   // by munmap and MADV_DONTNEED, enqueues that coalesced with already-queued ranges,
-  // pages actually erased by the flusher, flush passes run, and sweeps skipped outright
-  // because the dying VMA's present-page hint proved it never faulted a page.
+  // pages actually erased by the flusher, and flush passes run.
   std::atomic<uint64_t> sweeps_queued{0};         // ranges enqueued
   std::atomic<uint64_t> sweeps_queued_pages{0};   // pages enqueued (pre-coalescing)
   std::atomic<uint64_t> sweeps_coalesced{0};      // pre-existing ranges absorbed
   std::atomic<uint64_t> sweeps_swept_pages{0};    // pages erased by flushes
   std::atomic<uint64_t> sweeps_flushes{0};        // flush passes (claim + sweep)
-  std::atomic<uint64_t> sweeps_skipped_empty{0};  // empty-VMA sweeps skipped
 };
 
 // Every counter of VmStripeStats, in declaration order; Fold() sums exactly these.
@@ -89,7 +87,6 @@ inline constexpr std::atomic<uint64_t> VmStripeStats::*kVmCounters[] = {
     &VmStripeStats::mmap_overflow,       &VmStripeStats::sweeps_queued,
     &VmStripeStats::sweeps_queued_pages, &VmStripeStats::sweeps_coalesced,
     &VmStripeStats::sweeps_swept_pages,  &VmStripeStats::sweeps_flushes,
-    &VmStripeStats::sweeps_skipped_empty,
 };
 static_assert(sizeof(VmStripeStats) ==
                   std::size(kVmCounters) * sizeof(std::atomic<uint64_t>),

@@ -3,7 +3,9 @@
 //
 // A Vma describes one contiguous region [start, end) of the simulated address space
 // with uniform protection. All Vmas of an AddressSpace live in an rb tree (mm_rb)
-// keyed by start address.
+// keyed by start address. A Vma holds no page-table state: which of its pages are
+// present is the PageTable's business alone, so splits, merges and boundary moves
+// never move page bookkeeping between records.
 //
 // start / end / prot are relaxed atomics: the refined lock variants legally let readers
 // (page faults, speculative lookups) observe a VMA whose boundary a metadata-only
@@ -61,15 +63,6 @@ struct Vma {
   // True once the VMA has been unlinked from mm_rb (set inside the unlinking seqlock
   // write section, before the structural seqcount goes even again).
   std::atomic<bool> detached{false};
-  // Upper bound on the pages of [start, end) present in the page table. Every install
-  // attributed to this VMA increments it; the only decrement is a losing speculative
-  // fault exactly undoing its own install (RemoveExact success), so the bound can only
-  // inflate — deferred sweeps and MADV_DONTNEED drop pages without decrementing, and a
-  // split copies the parent's value to the new piece. AddressSpace uses hint == 0 to
-  // skip enqueueing sweeps for VMAs that never faulted a page (sound because the bound
-  // never under-counts), asserts hint >= CountRange(start, end) in CheckInvariants,
-  // and resyncs it to the exact count there (post-drain, under the full write lock).
-  std::atomic<uint64_t> present_hint{0};
 
   uint64_t Start() const { return start.load(std::memory_order_relaxed); }
   uint64_t End() const { return end.load(std::memory_order_relaxed); }

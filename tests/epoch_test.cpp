@@ -618,6 +618,45 @@ TEST(RetireListTest, MaybeFlushHonoursThreshold) {
   EXPECT_EQ(CountedObj::live.load(), 0);
 }
 
+// A stalled section must not grow a stripe's retire backlog with the unmap rate. One
+// thread idles with its quantum open, so no grace ticket can elapse, while this thread
+// retires four times the backlog bound. MaybeFlush must stop parking at
+// MaxParkedBatches() and wait the section out (Barrier's watchdog evicts the idle
+// quantum), so the backlog never exceeds MaxParkedBatches() + 1 flush thresholds.
+TEST(SharedRetireListTest, StalledSectionCannotGrowTheBacklogPastTheBound) {
+  EpochDomain& domain = EpochDomain::Global();
+  domain.SetForceQuiesceAfter(5ms);
+  std::atomic<bool> parked{false};
+  std::atomic<bool> resume{false};
+  std::thread holder([&] {
+    { EpochQuantumGuard g(domain); }  // quantum left open, thread goes idle
+    parked.store(true);
+    while (!resume.load()) {
+      std::this_thread::yield();
+    }
+    EpochQuantumQuiesce(domain);
+  });
+  while (!parked.load()) {
+    std::this_thread::yield();
+  }
+  const std::size_t threshold = SharedRetireList::DefaultFlushThreshold();
+  const std::size_t bound = (SharedRetireList::MaxParkedBatches() + 1) * threshold;
+  std::size_t peak = 0;
+  {
+    SharedRetireList list;
+    for (std::size_t i = 0; i < 4 * bound; ++i) {
+      list.Retire(new CountedObj());
+      list.MaybeFlush();
+      peak = std::max(peak, list.PendingCount());
+    }
+    resume.store(true);
+    holder.join();
+  }
+  domain.SetForceQuiesceAfter(EpochDomain::DefaultForceQuiesceAfter());
+  EXPECT_LE(peak, bound) << "the backlog grew while a section stalled";
+  EXPECT_EQ(CountedObj::live.load(), 0);
+}
+
 // The reclamation constants are derived from the machine's core count at first use
 // (the original constexpr values were guessed on a one-core container). Assert the
 // exact derivations so a refactor cannot silently change the policy, and that one
@@ -628,7 +667,7 @@ TEST(ReclamationDerivationTest, ConstantsFollowCoreCount) {
   EXPECT_EQ(RetireList::MaxParkedBatches(),
             std::clamp<std::size_t>(16 * hw, 64, 512));
   EXPECT_EQ(SharedRetireList::DefaultFlushThreshold(), RetireList::FlushThreshold());
-  EXPECT_EQ(SharedRetireList::MaxParkedBatches(), RetireList::MaxParkedBatches());
+  EXPECT_EQ(SharedRetireList::MaxParkedBatches(), 8u);  // a memory bound, not derived
   EXPECT_EQ((NodePool<LNode>::DecayQuietRefills()), std::max<std::size_t>(8, hw));
   const std::chrono::nanoseconds quiesce = EpochDomain::DefaultForceQuiesceAfter();
   EXPECT_EQ(quiesce, std::max(std::chrono::nanoseconds(std::chrono::milliseconds(50)),

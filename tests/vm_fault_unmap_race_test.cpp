@@ -284,8 +284,8 @@ TEST_P(VmFaultUnmapRaceTest, BrokenValidateBeforeInstallIsCaught) {
 //
 // A blind `Remove(P)` undo — the pre-deferral code — destroys W's install: P reads
 // absent although the last settled operation on it was W's successful fault, the
-// stale-ABSENCE mirror of the stale-page bug. The correct undo either defers to a
-// still-pending sweep or calls RemoveExact(P, t1), which cannot touch t2. Each
+// stale-ABSENCE mirror of the stale-page bug. The correct undo calls RemoveExact(P,
+// t1), which cannot touch t2. Each
 // generation forces that interleaving with the deterministic park gate: L parks
 // between install and validate (TestOnlyParkNextSpecFault) while the main thread
 // bumps the stripe seqcount (scratch mmap, making L a loser), flushes L's install
@@ -341,7 +341,44 @@ TEST_P(VmFaultUnmapRaceTest, BrokenUndoSweepCheckIsCaught) {
       << "the battery failed to catch the reverted (blind) losing-fault undo — the "
          "sweep-queue check has lost its teeth";
   EXPECT_EQ(run_leg(/*undo_sweep_check=*/true), 0)
-      << "the ticket-exact, sweep-queue-aware undo removed a winning fault's install";
+      << "the ticket-exact undo removed a winning fault's install";
+}
+
+// A winning fault cancels any pending sweep covering its page (the madvise
+// repopulation contract). If a munmap of the page runs between the winner's
+// validation and that cancel, the pending sweep the cancel punches is the munmap's
+// own, and the page would outlive the drain. The winner parks right after its
+// validation (TestOnlyParkNextSpecFault(after_validate)) while the main thread unmaps
+// the page with a sweep left queued; once released and drained, the page must be gone.
+TEST_P(VmFaultUnmapRaceTest, WinnerCancelRacingAMunmapLeavesNoStalePage) {
+  if (!AddressSpace(GetParam().variant).ScopedStructural()) {
+    GTEST_SKIP() << "only scoped variants have the speculative fault path";
+  }
+  AddressSpace as(GetParam().variant, GetParam().stripes);
+  int decided = 0;
+  for (int i = 0; i < 10; ++i) {
+    const uint64_t arena = as.MmapInStripe(0, kPage, kProtRead | kProtWrite);
+    ASSERT_NE(arena, 0u);
+    as.TestOnlyParkNextSpecFault(/*after_validate=*/true);
+    std::thread winner([&] { EXPECT_TRUE(as.PageFault(arena, true)); });
+    if (!srl::testing::EventuallyTrue([&] { return as.TestOnlySpecFaultParked(); })) {
+      as.TestOnlyReleaseParkedFault();  // fell back to the locked path: inconclusive
+      winner.join();
+      continue;
+    }
+    ++decided;
+    EXPECT_TRUE(as.Munmap(arena, kPage));
+    EXPECT_EQ(as.PendingSweepPages(), 1u) << "the munmap's sweep must still be queued";
+    as.TestOnlyReleaseParkedFault();
+    winner.join();
+    as.DrainSweeps();
+    EXPECT_EQ(as.PresentPagesInRange(arena, kPage), 0u)
+        << "a winner's cancel disarmed the sweep of a munmap that ran after its "
+           "validation (generation "
+        << i << ")";
+  }
+  EXPECT_GT(decided, 0) << "no fault ever parked after its validation";
+  EXPECT_TRUE(as.CheckInvariants());
 }
 
 INSTANTIATE_TEST_SUITE_P(

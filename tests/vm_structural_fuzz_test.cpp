@@ -214,10 +214,7 @@ TEST_P(VmStructuralFuzzTest, ConcurrentStructuralMixKeepsInvariants) {
 
   std::thread checker([&] {
     while (!done.load(std::memory_order_acquire)) {
-      // strict_present_counts=false: in-flight installs make the per-VMA hint
-      // reconciliation meaningless against live faulters; the final post-join
-      // CheckInvariants below runs the strict form.
-      if (!as.CheckInvariants(/*strict_present_counts=*/false)) {
+      if (!as.CheckInvariants()) {
         checker_ok.store(false);
         return;
       }

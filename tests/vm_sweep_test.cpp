@@ -1,10 +1,12 @@
-// Deterministic battery for the deferred page-sweep subsystem (SweepQueue + the
-// AddressSpace flusher): range coalescing across enqueues, the DrainSweeps visibility
-// edge, the madvise/fault repopulation contract (a winning re-fault cancels the
-// pending erase), the inclusive/exclusive page-range contract at stripe-shard edges,
-// and a flusher-vs-fault hammer on a repeatedly trimmed window. The concurrent
-// fault-vs-unmap ordering claims live in vm_fault_unmap_race_test; this file pins the
-// sweep machinery itself, mostly single-threaded so every expectation is exact.
+// Deterministic battery for the deferred page-sweep subsystem (SweepQueue, the
+// PageTable leaf walk it drives, and the AddressSpace flusher): range coalescing across
+// enqueues, a range walk across leaf and stripe-window edges, install tickets across
+// leaf recycling, the DrainSweeps visibility edge, the madvise/fault repopulation
+// contract (a winning re-fault cancels the pending erase), the inclusive/exclusive
+// page-range contract at stripe-shard edges, and a flusher-vs-fault hammer on a
+// repeatedly trimmed window. The concurrent fault-vs-unmap ordering claims live in
+// vm_fault_unmap_race_test; this file pins the sweep machinery itself, mostly
+// single-threaded so every expectation is exact.
 #include <atomic>
 #include <string>
 #include <thread>
@@ -48,51 +50,6 @@ TEST(VmSweepQueueTest, EnqueueCoalescesOverlappingAndAbuttingRanges) {
   EXPECT_EQ(ranges[0].last, 12u);
   EXPECT_EQ(q.PendingPages(), 0u);
   EXPECT_EQ(q.PendingRanges(), 0u);
-}
-
-TEST(VmSweepQueueTest, ExpectedBoundsMergeSaturatingAndNeverAcrossAbuttingRanges) {
-  SweepQueue q;
-  // Two bounded regions that merely abut stay separate: merging them would let one
-  // region's bounded probe run into its neighbour's dead tail before finding the
-  // neighbour's installs.
-  EXPECT_EQ(q.Enqueue(0, 8, 3), 0u);
-  EXPECT_EQ(q.Enqueue(8, 16, 2), 0u);
-  EXPECT_EQ(q.PendingRanges(), 2u);
-  EXPECT_EQ(q.PendingPages(), 16u);
-
-  // An OVERLAPPING bounded enqueue merges and sums the bounds (still an upper bound).
-  EXPECT_EQ(q.Enqueue(4, 10, 1), 2u);
-  auto ranges = q.Claim();
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0].first, 0u);
-  EXPECT_EQ(ranges[0].last, 16u);
-  EXPECT_EQ(ranges[0].expected, 6u);
-
-  // Unbounded abutting ranges (the DONTNEED trim-burst case) still coalesce, and any
-  // unbounded contribution saturates the merged bound.
-  EXPECT_EQ(q.Enqueue(0, 4), 0u);
-  EXPECT_EQ(q.Enqueue(4, 8), 1u);
-  EXPECT_EQ(q.Enqueue(6, 12, 5), 1u);
-  ranges = q.Claim();
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0].expected, SweepQueue::kUnbounded);
-  EXPECT_EQ(SweepQueue::SatAdd(SweepQueue::kUnbounded, 1), SweepQueue::kUnbounded);
-}
-
-TEST(VmSweepQueueTest, DeferredUndoRaisesTheCoveringBoundAndSplitsKeepIt) {
-  SweepQueue q;
-  EXPECT_FALSE(q.DeferUndoToPending(3)) << "nothing pending";
-  q.Enqueue(0, 8, 2);
-  EXPECT_FALSE(q.DeferUndoToPending(8)) << "one past the end is not covered";
-  // A loser handing its undo to the flusher raises the bound: its install happened
-  // after the munmap summed the hints, so the probe must not stop short of it.
-  EXPECT_TRUE(q.DeferUndoToPending(5));
-  // An interior cancel splits the range; both halves keep the full (raised) bound.
-  EXPECT_TRUE(q.CancelPending(4));
-  const auto ranges = q.Claim();
-  ASSERT_EQ(ranges.size(), 2u);
-  EXPECT_EQ(ranges[0].expected, 3u);
-  EXPECT_EQ(ranges[1].expected, 3u);
 }
 
 TEST(VmSweepQueueTest, CancelPendingPunchesHolesAtEveryPosition) {
@@ -155,145 +112,94 @@ TEST(VmSweepQueueTest, RemoveRangeStopsAtStripeShardEdge) {
   ASSERT_TRUE(pt.Install(edge - 1));
   ASSERT_TRUE(pt.Install(edge));
 
-  // Narrow (page-by-page) path: end exactly on the edge.
+  // A range of one leaf: end exactly on the edge.
   pt.RemoveRange(edge - 4, edge);
   EXPECT_FALSE(pt.Present(edge - 1));
   EXPECT_TRUE(pt.Present(edge)) << "exclusive end erased the next window's first page";
   EXPECT_EQ(pt.CountRange(edge - 4, edge), 0u);
   EXPECT_EQ(pt.CountRange(edge, edge + 1), 1u);
 
-  // Wide (shard-group walk) path: the whole first window, same exclusive edge.
+  // A range wider than the resident leaves (the shard-map scan): the whole first
+  // window, same exclusive edge.
   ASSERT_TRUE(pt.Install(edge - 1));
   pt.RemoveRange(base, edge);
   EXPECT_FALSE(pt.Present(edge - 1));
   EXPECT_TRUE(pt.Present(edge)) << "shard-group walk crossed the window edge";
 }
 
-// The `max_present` bound caps the probe on both RemoveRange paths: once that many
-// pages have been erased no more can exist, so the scan stops. A bound SMALLER than
-// the true count (never produced by the hint plumbing, but the contract must hold)
-// erases exactly the bound and leaves the rest.
-TEST(VmSweepQueueTest, RemoveRangeStopsAfterTheMaxPresentBound) {
-  PageTable pt;
-  // Narrow (page-by-page) path: 3 installs clustered at the front of 1000 pages.
-  for (uint64_t p = 100; p < 103; ++p) {
-    ASSERT_TRUE(pt.Install(p));
+// The leaf walk must visit every leaf its range overlaps and clip the first and last
+// ones exactly. Five consecutive leaves on a stripe-window edge each hold their first
+// and last page; ranges that start and end mid-leaf, exactly on leaf edges and on the
+// window edge must leave exactly the pages outside them. A walk that skips the range's
+// last leaf (or mis-clips an edge) leaves a dead page or erases a live one.
+TEST(VmSweepQueueTest, RangeWalkThatSkipsALeafIsCaught) {
+  constexpr uint64_t kLeaf = PageTable::kLeafPages;
+  const uint64_t shift = VmaIndex::kStripeShift - 12;
+  const uint64_t base = AddressSpace::kMmapBase / kPage;
+  const uint64_t edge = base + (uint64_t{1} << shift);  // first page of window 1
+  const uint64_t l0 = edge - 2 * kLeaf;                 // leaves l0 .. l0 + 5*kLeaf
+  std::vector<uint64_t> pages;
+  for (uint64_t l = 0; l < 5; ++l) {
+    pages.push_back(l0 + l * kLeaf);
+    pages.push_back(l0 + l * kLeaf + kLeaf - 1);
   }
-  EXPECT_EQ(pt.RemoveRange(100, 1100, 3), 3u);
-  EXPECT_EQ(pt.CountRange(100, 1100), 0u);
-  EXPECT_EQ(pt.RemoveRange(100, 1100, 0), 0u) << "zero bound must be a no-op";
-
-  // Bound below the true count: exactly `max_present` erased.
-  for (uint64_t p = 200; p < 205; ++p) {
-    ASSERT_TRUE(pt.Install(p));
+  struct Case {
+    uint64_t first;
+    uint64_t last;
+    const char* what;
+  };
+  const Case cases[] = {
+      {l0 + 1, l0 + 3 * kLeaf - 1, "mid-leaf to mid-leaf"},
+      {l0, l0 + 3 * kLeaf, "leaf edge to leaf edge"},
+      {l0 + kLeaf - 1, l0 + 2 * kLeaf + 1, "last page of one leaf to first of the next"},
+      {l0 + 1, edge, "mid-leaf to the window edge"},
+      {edge, l0 + 5 * kLeaf - 1, "window edge to mid-leaf"},
+      {edge - 1, edge + 1, "across the window edge"},
+      {l0, l0 + 5 * kLeaf, "every leaf"},
+      // Ranges spanning far more leaves than are resident scan the shard maps instead.
+      {l0 + kLeaf + 1, edge + 200 * kLeaf, "mid-leaf to far past the last leaf"},
+      {l0 - 200 * kLeaf, l0 + 4 * kLeaf, "far before the first leaf to a leaf edge"},
+  };
+  for (const Case& c : cases) {
+    PageTable pt;
+    pt.ConfigureStripes(shift, base, 4);
+    for (const uint64_t p : pages) {
+      ASSERT_TRUE(pt.Install(p));
+    }
+    std::size_t inside = 0;
+    for (const uint64_t p : pages) {
+      inside += p >= c.first && p < c.last ? 1 : 0;
+    }
+    EXPECT_EQ(pt.RemoveRange(c.first, c.last), inside) << c.what;
+    EXPECT_EQ(pt.CountRange(c.first, c.last), 0u) << c.what;
+    for (const uint64_t p : pages) {
+      EXPECT_EQ(pt.Present(p), p < c.first || p >= c.last) << c.what << ", page " << p;
+    }
+    EXPECT_EQ(pt.Count(), pages.size() - inside) << c.what;
   }
-  EXPECT_EQ(pt.RemoveRange(200, 205, 3), 3u);
-  EXPECT_EQ(pt.CountRange(200, 205), 2u);
-
-  // Wide (shard-group walk) path: > 4096 pages, sparse installs.
-  for (uint64_t p = 0; p < 8; ++p) {
-    ASSERT_TRUE(pt.Install(10000 + p * 512));
-  }
-  EXPECT_EQ(pt.RemoveRange(10000, 20000, 8), 8u);
-  EXPECT_EQ(pt.CountRange(10000, 20000), 0u);
 }
 
-TEST(VmSweepQueueTest, RemoveRangeReportsWhereTheProbeStopped) {
+// Install tickets come from the shard, not the leaf: once a leaf empties and is
+// freed, the page's next install into a fresh leaf gets a new ticket, so a stale
+// loser's RemoveExact on the old one cannot erase the winner's page. Tickets that
+// restarted with each leaf would hand out the same ticket twice.
+TEST(VmSweepQueueTest, InstallTicketsSurviveLeafRecycling) {
   PageTable pt;
-  uint64_t resume = 0;
-  // Full walk (budget not exhausted): resume is the exclusive end.
-  ASSERT_TRUE(pt.Install(5));
-  EXPECT_EQ(pt.RemoveRange(0, 16, 4, &resume), 1u);
-  EXPECT_EQ(resume, 16u);
-  // Early budget stop: everything below resume has provably been probed.
-  ASSERT_TRUE(pt.Install(2));
-  ASSERT_TRUE(pt.Install(12));
-  EXPECT_EQ(pt.RemoveRange(0, 16, 1, &resume), 1u);
-  EXPECT_EQ(resume, 3u) << "narrow probe erases in ascending order and stops exactly";
-  EXPECT_EQ(pt.CountRange(0, 16), 1u) << "page 12 must survive the bounded probe";
-  pt.Remove(12);
-  // The wide path visits shards out of page order: an early stop there must report
-  // first_page, leaving the whole range suspect.
-  ASSERT_TRUE(pt.Install(30000));
-  EXPECT_EQ(pt.RemoveRange(20000, 40000, 1, &resume), 1u);
-  EXPECT_EQ(resume, 20000u);
-}
-
-TEST(VmSweepQueueTest, RobbedBoundedProbeLeavesATombstoneAndRaiseReArmsItsTail) {
-  // The budget-theft scenario the claimed-range lifecycle exists for. A munmap whose
-  // hint read raced a losing fault enqueues [0, 16) with expected = 1 (it counted the
-  // real install at page 12, not the loser's transient one at page 2). The bounded
-  // probe then spends its only budget unit erasing the loser's page and stops — the
-  // real dead page survives past the stop point, and the robbed loser (its
-  // ticket-exact RemoveExact finds its page already gone) must still find a
-  // compensation target, or page 12 leaks forever.
-  SweepQueue q;
-  PageTable pt;
-  ASSERT_TRUE(pt.Install(2));   // the loser's transient install (not in the bound)
-  ASSERT_TRUE(pt.Install(12));  // the real dead page the bound counted
-  q.Enqueue(0, 16, 1);
-
-  // Flusher: claim, probe, and report the early budget stop.
-  auto ranges = q.Claim();
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_TRUE(q.CoversPending(12)) << "claimed-in-flight ranges must stay covered";
-  uint64_t resume = 0;
-  EXPECT_EQ(pt.RemoveRange(ranges[0].first, ranges[0].last, ranges[0].expected,
-                           &resume),
-            1u);
-  EXPECT_EQ(resume, 3u);
-  EXPECT_EQ(pt.CountRange(0, 16), 1u) << "page 12 stranded past the stop point";
-  q.FinishClaimed(ranges[0].first, ranges[0].last, resume, /*may_survive=*/true,
-                  /*batch=*/1);
-  EXPECT_EQ(q.ClaimedEntries(), 1u) << "budget-exhausted probe leaves a tombstone";
-  EXPECT_TRUE(q.CoversPending(12))
-      << "the tombstone keeps the stranded page covered for the invariant checker";
-
-  // The robbed loser raises the tombstone: its unprobed tail [3, 16) re-arms with one
-  // budget unit, and the next flush recovers the stranded page.
-  EXPECT_TRUE(q.RaiseClaimed(2));
-  EXPECT_EQ(q.PendingRanges(), 1u);
-  ranges = q.Claim();
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0].first, 3u);
-  EXPECT_EQ(ranges[0].last, 16u);
-  EXPECT_EQ(ranges[0].expected, 1u);
-  EXPECT_EQ(pt.RemoveRange(ranges[0].first, ranges[0].last, ranges[0].expected,
-                           &resume),
-            1u);
-  EXPECT_EQ(pt.CountRange(0, 16), 0u) << "compensation re-probe recovers page 12";
-  q.FinishClaimed(ranges[0].first, ranges[0].last, resume,
-                  resume < ranges[0].last, /*batch=*/2);
-
-  // Grace elapsed (no fault in flight can still owe a raise): tombstones purge and
-  // the cover envelope resets.
-  q.PurgeFinishedUpTo(2);
-  EXPECT_EQ(q.ClaimedEntries(), 0u);
-  EXPECT_FALSE(q.CoversPending(12));
-  EXPECT_FALSE(q.MayCover(8)) << "bounds reset once nothing pending or claimed";
-}
-
-TEST(VmSweepQueueTest, RaiseWhileTheProbeIsInFlightLandsInFinishClaimed) {
-  SweepQueue q;
-  q.Enqueue(0, 16, 1);
-  const auto ranges = q.Claim();
-  ASSERT_EQ(ranges.size(), 1u);
-  // Two thieves race the in-flight probe: their raises accumulate on the claimed
-  // entry and FinishClaimed re-enqueues the unprobed tail with both budget units.
-  EXPECT_TRUE(q.RaiseClaimed(5));
-  EXPECT_TRUE(q.RaiseClaimed(7));
-  EXPECT_EQ(q.PendingRanges(), 0u) << "raises on an in-flight claim defer to finish";
-  q.FinishClaimed(0, 16, /*resume=*/4, /*may_survive=*/true, /*batch=*/1);
-  const auto repend = q.Claim();
-  ASSERT_EQ(repend.size(), 1u);
-  EXPECT_EQ(repend[0].first, 4u);
-  EXPECT_EQ(repend[0].last, 16u);
-  EXPECT_EQ(repend[0].expected, 2u);
-  q.FinishClaimed(4, 16, 16, false, 2);
-  // A raise that misses (every claimed entry settled and purged) reports false: the
-  // erasing probe ran to completion, so there is nothing to compensate.
-  q.PurgeFinishedUpTo(2);
-  EXPECT_FALSE(q.RaiseClaimed(5));
+  constexpr uint64_t kPageIndex = 5 * PageTable::kLeafPages + 7;
+  uint64_t t1 = 0;
+  ASSERT_TRUE(pt.Install(kPageIndex, &t1));
+  ASSERT_NE(t1, 0u);
+  EXPECT_EQ(pt.RemoveRange(kPageIndex - 7, kPageIndex - 7 + PageTable::kLeafPages), 1u)
+      << "the sweep empties (and frees) the leaf";
+  EXPECT_EQ(pt.Count(), 0u);
+  uint64_t t2 = 0;
+  ASSERT_TRUE(pt.Install(kPageIndex, &t2)) << "a re-install after the sweep is major";
+  EXPECT_NE(t2, t1) << "a recycled leaf reissued the swept install's ticket";
+  EXPECT_FALSE(pt.RemoveExact(kPageIndex, t1))
+      << "a stale loser erased the winner's page";
+  EXPECT_TRUE(pt.Present(kPageIndex));
+  EXPECT_TRUE(pt.RemoveExact(kPageIndex, t2));
+  EXPECT_FALSE(pt.Present(kPageIndex));
 }
 
 // --- AddressSpace flusher battery -----------------------------------------------
@@ -341,35 +247,6 @@ TEST_P(VmSweepTest, DontNeedTrimsCoalesceIntoOneFlush) {
   EXPECT_EQ(as.PresentPagesInRange(base, 8 * kPage), 0u);
   EXPECT_EQ(as.Stats().sweeps_swept_pages.load(), 8u)
       << "coalescing must not double-sweep merged pages";
-  EXPECT_TRUE(as.CheckInvariants());
-}
-
-// Satellite mechanism pin: the dying VMA's present_hint travels with the queued range
-// as an upper bound, so sweeping a sparsely-faulted region costs its installs, not its
-// size — and a never-faulted region skips the sweep entirely.
-TEST_P(VmSweepTest, SparseRegionSweepIsBoundedByThePresentHint) {
-  AddressSpace as(GetParam().variant, GetParam().stripes);
-  const uint64_t base = as.Mmap(256 * kPage, kProtRead | kProtWrite);
-  ASSERT_NE(base, 0u);
-  // Fault only the front quarter — the arena shape the bound exists for.
-  for (uint64_t p = 0; p < 64; ++p) {
-    ASSERT_TRUE(as.PageFault(base + p * kPage, true));
-  }
-  ASSERT_TRUE(as.Munmap(base, 256 * kPage));
-  EXPECT_EQ(as.PendingSweepPages(), 256u) << "the whole dead span is enqueued";
-  as.DrainSweeps();
-  EXPECT_EQ(as.PresentPagesInRange(base, 256 * kPage), 0u);
-  EXPECT_EQ(as.Stats().sweeps_swept_pages.load(), 64u)
-      << "swept pages counts ACTUAL erases: the hint bound (64) stops the probe";
-  EXPECT_TRUE(as.CheckInvariants());
-
-  // A region that never faulted a page skips the sweep machinery outright.
-  const uint64_t cold = as.Mmap(16 * kPage, kProtRead | kProtWrite);
-  ASSERT_NE(cold, 0u);
-  const uint64_t skipped_before = as.Stats().sweeps_skipped_empty.load();
-  ASSERT_TRUE(as.Munmap(cold, 16 * kPage));
-  EXPECT_EQ(as.Stats().sweeps_skipped_empty.load(), skipped_before + 1);
-  EXPECT_EQ(as.PendingSweepPages(), 0u);
   EXPECT_TRUE(as.CheckInvariants());
 }
 
@@ -509,6 +386,30 @@ TEST_P(VmSweepTest, CrossStripeMunmapSplitsTheSweepAtTheWindowEdge) {
   EXPECT_EQ(as.PresentPagesInRange(b, kPage), 0u) << "clipped head page survived";
   EXPECT_EQ(as.PresentPagesInRange(b + kPage, 3 * kPage), 3u)
       << "the sweep overran the clip point";
+  EXPECT_TRUE(as.CheckInvariants());
+}
+
+// A DONTNEED spanning a stripe edge enqueues one piece per covered stripe, and each
+// piece's stripe must get its flush check: with threshold 1 no piece may stay queued.
+TEST_P(VmSweepTest, CrossStripeMadviseFlushesEveryCoveredStripe) {
+  if (GetParam().stripes < 2) {
+    GTEST_SKIP() << "needs at least two stripe windows";
+  }
+  AddressSpace as(GetParam().variant, GetParam().stripes);
+  as.SetSweepFlushThreshold(1);
+  const uint64_t a = as.MmapInStripe(0, 4 * kPage, kProtRead | kProtWrite);
+  const uint64_t b = as.MmapInStripe(1, 4 * kPage, kProtRead | kProtWrite);
+  ASSERT_NE(a, 0u);
+  ASSERT_NE(b, 0u);
+  for (uint64_t p = 0; p < 4; ++p) {
+    ASSERT_TRUE(as.PageFault(a + p * kPage, true));
+    ASSERT_TRUE(as.PageFault(b + p * kPage, true));
+  }
+  ASSERT_TRUE(as.MadviseDontNeed(a, b + 4 * kPage - a));
+  EXPECT_EQ(as.PendingSweepPages(), 0u) << "a covered stripe's piece was never flushed";
+  EXPECT_EQ(as.PresentPagesInRange(a, 4 * kPage), 0u);
+  EXPECT_EQ(as.PresentPagesInRange(b, 4 * kPage), 0u)
+      << "the madvise's stripe-1 pages survived its own flush";
   EXPECT_TRUE(as.CheckInvariants());
 }
 

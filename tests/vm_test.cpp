@@ -79,21 +79,6 @@ TEST_P(VmSemanticsTest, MunmapDefersTheSweepUntilDrain) {
   EXPECT_TRUE(as_.CheckInvariants());
 }
 
-TEST_P(VmSemanticsTest, EmptyVmaMunmapSkipsTheSweep) {
-  const uint64_t a = as_.Mmap(4 * kPage, kProtRead | kProtWrite);
-  EXPECT_TRUE(as_.Munmap(a, 4 * kPage)) << "no page was ever faulted in";
-  EXPECT_EQ(as_.Stats().sweeps_skipped_empty.load(), 1u);
-  EXPECT_EQ(as_.Stats().sweeps_queued.load(), 0u);
-  // A populated VMA must not be skipped.
-  const uint64_t b = as_.Mmap(4 * kPage, kProtRead | kProtWrite);
-  EXPECT_TRUE(as_.PageFault(b, true));
-  EXPECT_TRUE(as_.Munmap(b, 4 * kPage));
-  EXPECT_EQ(as_.Stats().sweeps_skipped_empty.load(), 1u);
-  EXPECT_EQ(as_.Stats().sweeps_queued.load(), 1u);
-  as_.DrainSweeps();
-  EXPECT_EQ(as_.PresentPages(), 0u);
-}
-
 TEST_P(VmSemanticsTest, MprotectWholeVma) {
   const uint64_t a = as_.Mmap(4 * kPage, kProtNone);
   EXPECT_TRUE(as_.Mprotect(a, 4 * kPage, kProtRead | kProtWrite));

@@ -67,10 +67,12 @@ run_config() {
   if [[ "$config" == plain ]]; then
     ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS"
     # Race-sensitive tests, 30 repeats each with 8 running at once: a rare
-    # interleaving that one pass can miss shows up here (~3 s on 4 cores).
+    # interleaving that one pass can miss shows up here (~3 s on 4 cores). The
+    # flusher-vs-fault hammer races the page-table leaf walk against faults that
+    # re-allocate the leaves it frees.
     echo "=== [$config] loaded repeats ==="
     ctest --test-dir "$build_dir" --output-on-failure \
-      -R 'TimedReaderLostRaceConservesPoolNodes|CullsServeOldestParkedWaiterFirst|VmStripeTest' \
+      -R 'TimedReaderLostRaceConservesPoolNodes|CullsServeOldestParkedWaiterFirst|VmStripeTest|FlusherVsFaultHammerOnTrimmedWindow' \
       --repeat until-fail:30 -j8
     if [[ "$OVERSUB" == 1 ]]; then
       # Oversubscription canary: far more threads than any CI core count, long enough
