@@ -29,7 +29,7 @@
 // speculative-fault and structural counters for every multi-stripe run.
 //
 // Flags: --variants=stock,tree-full,tree-scoped,list-full,list-refined,list-scoped,
-//        list-lf-full,list-lf-scoped
+//        list-lf-scoped
 //        --threads=1,2,4,8  --stripes=1,4  --modes=disjoint,same-stripe
 //        --readers=2  --secs=0.25  --repeats=1  --pages=512  --scratch-pages=4
 //        --csv  --json=BENCH_scoped_structural.json
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
   srl::Cli cli(argc, argv);
   if (cli.Has("--help")) {
     std::cout << "abl_scoped_structural --variants=stock,tree-full,tree-scoped,"
-                 "list-full,list-refined,list-scoped,list-lf-full,list-lf-scoped "
+                 "list-full,list-refined,list-scoped,list-lf-scoped "
                  "--threads=1,2,4,8 --stripes=1,4 "
                  "--modes=disjoint,same-stripe --readers=2 --secs=0.25 --repeats=1 "
                  "--pages=512 --scratch-pages=4 --csv "
@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
 
   const std::vector<std::string> names = cli.GetStringList(
       "--variants", {"stock", "tree-full", "tree-scoped", "list-full", "list-refined",
-                     "list-scoped", "list-lf-full", "list-lf-scoped"});
+                     "list-scoped", "list-lf-scoped"});
   const std::string json_path = cli.JsonPath();
   cli.RejectUnknown();
 

@@ -1,28 +1,40 @@
-// Monotonic sequence counter / seqlock used by the speculative VM protocols (§5.2).
+// Seqlock used by the speculative VM protocols (§5.2).
 //
-// Two usage patterns share this type:
+// Structural mutators wrap their mutation in a write section (BeginWrite/EndWrite: the
+// counter is odd while a mutation is in flight); optimistic readers snapshot an even
+// value before walking shared structure (ReadBegin) and re-validate afterwards
+// (Validate), retrying when a mutation overlapped the walk. This is what lets
+// VmaStripe::TryFindOptimistic run correctly without excluding concurrent structural
+// writers. The same interface serves per-object at finer grain: Vma::meta_seq brackets
+// metadata-only boundary/protection moves (invisible to the stripe-level counter by
+// design), giving the lock-free fault path a torn-read detector for a single VMA's
+// (start, end, prot) triple.
 //
-//   * Plain counter (Read/Bump): the VM subsystem historically bumped it on every
-//     full-range write release; speculating operations snapshot it to detect that mm_rb
-//     may have changed between their read-locked lookup and their refined write
-//     acquisition (Listing 4).
+// Memory model: Boehm's recipe ("Can seqlocks get along with programming language
+// memory models?", MSPC 2012). The writer follows its opening increment with a release
+// fence, so its data stores cannot rise above the increment; readers begin with an
+// acquire load, so the walk's loads cannot rise above the snapshot, and re-read behind
+// an acquire fence, so they cannot sink below the re-read. If a reader's walk saw any
+// store of a write section, the writer's release fence synchronizes with the reader's
+// acquire fence and the re-read must see the odd value or a later one. On x86 both
+// fences compile to nothing. All data read inside a read section must itself be
+// accessed through atomics: the protocol makes torn *walks* detectable, it does not
+// make torn *loads* defined.
 //
-//   * Seqlock (BeginWrite/EndWrite + ReadBegin/Validate): structural mutators wrap their
-//     mutation in a write section (counter odd while a mutation is in flight); optimistic
-//     readers snapshot an even value before walking shared structure and re-validate
-//     afterwards, retrying when a mutation overlapped the walk. This is what lets
-//     VmaIndex::FindOptimistic run correctly without excluding concurrent out-of-range
-//     structural writers. The same interface serves per-object at finer grain:
-//     Vma::meta_seq brackets metadata-only boundary/protection moves (invisible to the
-//     index-level counter by design), giving the lock-free fault path a torn-read
-//     detector for a single VMA's (start, end, prot) triple.
+// No full fence is needed, not even where a caller validates after a store of its own
+// (the speculative fault validates after its page install). A seqlock read section
+// orders the caller's loads; it does not order a preceding store before the re-read,
+// and the VM code never asks it to: the store-then-load orderings of
+// AddressSpace::PageFaultOptimistic are carried by locks. A sweep that took the page's
+// shard lock before the fault's install came after the munmap's seqcount bump, so bump
+// → shard unlock → the fault's shard lock → its validating load is a happens-before
+// chain and the load sees the bump; a sweep that took the lock after the install
+// erases the page whatever the load reads. Cancel-then-revalidate runs the same
+// argument through the sweep-queue lock (see PageFaultOptimistic).
 //
-// Memory-model notes (Boehm, "Can seqlocks get along with programming language memory
-// models?"): the write section opens with an acq_rel RMW and closes with a release RMW;
-// readers begin with an acquire load (so the walk's loads cannot hoist above the
-// snapshot) and validate behind an acquire fence (so they cannot sink below it). All
-// data read inside a read section must itself be accessed through atomics — the
-// protocol makes torn *walks* detectable, it does not make torn *loads* defined.
+// ThreadSanitizer builds keep a full fence in Validate and an acq_rel increment in
+// BeginWrite: GCC rejects std::atomic_thread_fence under -fsanitize=thread, and TSan
+// could not model it anyway.
 #ifndef SRL_SYNC_SEQ_COUNTER_H_
 #define SRL_SYNC_SEQ_COUNTER_H_
 
@@ -40,21 +52,19 @@ class SeqCounter {
   SeqCounter(const SeqCounter&) = delete;
   SeqCounter& operator=(const SeqCounter&) = delete;
 
-  // --- Plain counter interface ---
-
-  // Reads the current sequence value. Acquire so that a reader that later revalidates
-  // observes at least the state published before the last bump it saw.
+  // Reads the current sequence value (any parity).
   uint64_t Read() const { return value_.load(std::memory_order_acquire); }
 
-  // Bumps the counter once (any parity). Callers using the seqlock interface below must
-  // not mix in bare Bump()s.
-  void Bump() { value_.fetch_add(1, std::memory_order_acq_rel); }
-
-  // --- Seqlock interface ---
-
   // Opens a write section: the value becomes odd. Write sections must not nest and must
-  // be serialized externally (VmaIndex serializes them with its tree spin lock).
-  void BeginWrite() { value_.fetch_add(1, std::memory_order_acq_rel); }
+  // be serialized externally (VmaStripe serializes them with its mutation spin lock).
+  void BeginWrite() {
+#ifdef SRL_TSAN
+    value_.fetch_add(1, std::memory_order_acq_rel);
+#else
+    value_.fetch_add(1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
+#endif
+  }
 
   // Closes the write section opened by BeginWrite(): the value becomes even again.
   void EndWrite() { value_.fetch_add(1, std::memory_order_release); }
@@ -72,11 +82,15 @@ class SeqCounter {
   }
 
   // True if no write section started since `snapshot` was taken by ReadBegin(). The
-  // fence orders the caller's preceding data loads before the re-read (SeqCstFence
-  // rather than a bare acquire fence: TSan cannot model fences, and the seq_cst RMW
-  // substitute it swaps in gives TSan a trackable ordering point — see sync/fence.h).
+  // fence orders the caller's preceding data loads before the re-read.
   bool Validate(uint64_t snapshot) const {
+#ifdef SRL_TSAN
+    // TSan cannot model fences; the seq_cst RMW that SeqCstFence swaps in under TSan
+    // gives it a trackable ordering point (see sync/fence.h).
     SeqCstFence();
+#else
+    std::atomic_thread_fence(std::memory_order_acquire);
+#endif
     return value_.load(std::memory_order_relaxed) == snapshot;
   }
 

@@ -38,8 +38,6 @@ VariantConfig ConfigFor(VmVariant v) {
       return {VmLockKind::kTree, true, true, true};
     case VmVariant::kListScoped:
       return {VmLockKind::kList, true, true, true};
-    case VmVariant::kListLfFull:
-      return {VmLockKind::kListLockFree, false, false, false};
     case VmVariant::kListLfScoped:
       return {VmLockKind::kListLockFree, true, true, true};
   }
@@ -80,8 +78,6 @@ const char* VmVariantName(VmVariant v) {
       return "tree-scoped";
     case VmVariant::kListScoped:
       return "list-scoped";
-    case VmVariant::kListLfFull:
-      return "list-lf-full";
     case VmVariant::kListLfScoped:
       return "list-lf-scoped";
   }
@@ -713,20 +709,26 @@ bool AddressSpace::PageFaultLocked(uint64_t addr, bool is_write, uint64_t page_a
 //   validate  — re-validate the stripe's seqcount and the VMA's live flag AFTER the
 //               install. Install/validate in that order is the load-bearing decision:
 //               a munmap of this stripe bumps the stripe seqcount (unlink) strictly
-//               before it sweeps the page table, so a fault whose install lands after
-//               the sweep observes the bump and undoes, while a fault whose validation
-//               passes had its install ordered before the unlink — and therefore
-//               before the sweep, which erases it. Either way no page survives in an
-//               unmapped range. (A munmap of a DIFFERENT stripe cannot unmap this
-//               address: VMAs never straddle stripe windows, so the covering mapping
-//               and the faulting address share a stripe — the per-stripe restatement
-//               of the PR 4 ordering argument.)
-//   undo/retry/fallback — a failed validation removes the page this fault installed
-//               (spurious removal of a concurrent fault's identical install is benign:
-//               it is indistinguishable from MADV_DONTNEED and the next touch
-//               reinstalls) and retries; gaps and exhausted budgets degrade to the
-//               trylock-first locked path, whose page-range read lock excludes every
-//               writer of the faulting page and can adjudicate negatives exactly.
+//               before it enqueues the sweep of the page table, so either the sweep
+//               erases the install or the fault observes the bump and undoes. Either
+//               way no page survives in an unmapped range. (A munmap of a DIFFERENT
+//               stripe cannot unmap this address: VMAs never straddle stripe windows,
+//               so the covering mapping and the faulting address share a stripe: the
+//               ordering argument holds per stripe.)
+//   undo/retry/fallback — a failed validation removes the page this fault installed,
+//               by its install ticket, and retries; gaps and exhausted budgets degrade
+//               to the trylock-first locked path, whose page-range read lock excludes
+//               every writer of the faulting page and can adjudicate negatives exactly.
+//
+// Why no full fence: the validating load follows a store (the install), and a seqlock
+// read orders only loads, yet the page-table shard lock carries the store-then-load
+// order. The sweep and the install each run under the page's shard lock. If the
+// sweep's critical section came first, the sweep came after the seqcount bump
+// (bump → EndWrite → enqueue under the sweep-queue lock → claim under it → shard
+// unlock), so bump → shard unlock → this fault's shard lock → its validating load is a
+// happens-before chain and the load must see the bump: the fault undoes. If the
+// install came first, the sweep erases it whatever the load reads. A winner's
+// cancel-then-revalidate below runs the same argument through the sweep-queue lock.
 //
 // Trust discipline: a *successful* return requires the post-install validation; a
 // *SIGSEGV* return requires both the stripe's seqcount and the per-VMA seqlock to
@@ -838,7 +840,10 @@ int AddressSpace::PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t pag
     // between the two, and its pending sweep is what the cancel just punched. A
     // munmap bumps the stripe seqcount before it enqueues, so a cancel followed by a
     // failed re-validation puts the page back; when the bump came from another
-    // structural op, the re-queued page is only a spurious MADV_DONTNEED.
+    // structural op, the re-queued page is only a spurious MADV_DONTNEED. No full
+    // fence here either: a cancel that hit the munmap's range took the sweep-queue
+    // lock after the enqueue released it, so bump → enqueue's unlock → the cancel's
+    // lock → the re-validating load is a happens-before chain.
     SweepQueue& q = sweeps_[si].value;
     if (q.CancelPending(page) && !stripe.ValidateSeq(iseq)) {
       q.Enqueue(page, page + 1);
@@ -864,8 +869,9 @@ void AddressSpace::TestOnlyMaybePark(uint32_t where) {
 }
 
 bool AddressSpace::PageFault(uint64_t addr, bool is_write) {
+  // A fault counts itself once, in the outcome that ends it: fault_spec_ok, or
+  // fault_try_ok / fault_try_fallback on the locked path. Stats() derives `faults`.
   VmStripeStats& slice = stats_.Mine()[index_.IndexOf(addr)].value;
-  slice.faults.fetch_add(1, std::memory_order_relaxed);
   const uint64_t page_addr = PageDown(addr);
   if (scoped_structural_) {
     const int verdict = PageFaultOptimistic(addr, is_write, page_addr, slice);

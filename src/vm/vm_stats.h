@@ -13,7 +13,9 @@
 // into the flat totals this struct inherits from VmStripeStats. AddressSpace::Stats()
 // folds before it returns, so a reader sees the counts as of its Stats() call, and the
 // isolation claim (churn in stripe A causes no speculative-fault retries in stripe B)
-// reads directly off the per-stripe view.
+// reads directly off the per-stripe view. One counter is derived, not counted: a page
+// fault counts only the outcome that ends it (kFaultOutcomes), and Fold() sums those
+// into `faults`.
 #ifndef SRL_VM_VM_STATS_H_
 #define SRL_VM_VM_STATS_H_
 
@@ -36,6 +38,7 @@ struct VmStripeStats {
   std::atomic<uint64_t> mmaps{0};
   std::atomic<uint64_t> munmaps{0};
   std::atomic<uint64_t> mprotects{0};
+  // Derived, never counted: Fold() sets it to the sum of kFaultOutcomes.
   std::atomic<uint64_t> faults{0};
   std::atomic<uint64_t> major_faults{0};   // of the faults, pages actually installed
   std::atomic<uint64_t> fault_errors{0};   // unmapped address or protection violation
@@ -73,7 +76,8 @@ struct VmStripeStats {
   std::atomic<uint64_t> sweeps_flushes{0};        // flush passes (claim + sweep)
 };
 
-// Every counter of VmStripeStats, in declaration order; Fold() sums exactly these.
+// Every counter of VmStripeStats, in declaration order; Fold() sums exactly these, then
+// derives `faults`.
 inline constexpr std::atomic<uint64_t> VmStripeStats::*kVmCounters[] = {
     &VmStripeStats::mmaps,               &VmStripeStats::munmaps,
     &VmStripeStats::mprotects,           &VmStripeStats::faults,
@@ -92,6 +96,24 @@ static_assert(sizeof(VmStripeStats) ==
                   std::size(kVmCounters) * sizeof(std::atomic<uint64_t>),
               "a VmStripeStats counter is missing from kVmCounters");
 
+// Every page fault ends in exactly one of these: resolved lock-free, or admitted by the
+// locked path's trylock or by its blocking fallback. Counting only the outcome leaves the
+// speculative fault one counter write.
+inline constexpr std::atomic<uint64_t> VmStripeStats::*kFaultOutcomes[] = {
+    &VmStripeStats::fault_spec_ok,
+    &VmStripeStats::fault_try_ok,
+    &VmStripeStats::fault_try_fallback,
+};
+
+// Position of `counter` in kVmCounters.
+constexpr std::size_t VmCounterIndex(std::atomic<uint64_t> VmStripeStats::*counter) {
+  std::size_t c = 0;
+  while (kVmCounters[c] != counter) {
+    ++c;
+  }
+  return c;
+}
+
 // The flat totals (inherited) as of the last Fold(), plus the slot blocks that
 // operations count into.
 struct VmStats : VmStripeStats {
@@ -100,9 +122,10 @@ struct VmStats : VmStripeStats {
   // The calling thread's block: its slice of every stripe, indexed by stripe.
   CacheAligned<VmStripeStats>* Mine() { return blocks_.Mine(); }
 
-  // Sums every slot block into the per-stripe view and the flat totals. Concurrent
-  // operations keep counting; a fold reads each counter once, at some point during
-  // the call. Folds are serialized, so totals never go backwards.
+  // Sums every slot block into the per-stripe view and the flat totals, and derives
+  // each stripe's `faults` from its fault outcomes. Concurrent operations keep
+  // counting; a fold reads each counter once, at some point during the call. Folds are
+  // serialized, so totals never go backwards.
   void Fold() {
     constexpr std::size_t kN = std::size(kVmCounters);
     const unsigned n = StripeCount();
@@ -116,6 +139,13 @@ struct VmStats : VmStripeStats {
         }
       }
     });
+    for (unsigned i = 0; i < n; ++i) {
+      uint64_t faults_of_stripe = 0;
+      for (const auto outcome : kFaultOutcomes) {
+        faults_of_stripe += sums[i * kN + VmCounterIndex(outcome)];
+      }
+      sums[i * kN + VmCounterIndex(&VmStripeStats::faults)] = faults_of_stripe;
+    }
     if (view_ == nullptr) {
       view_ = std::make_unique<VmStripeStats[]>(n);
     }

@@ -286,14 +286,6 @@ TEST(RwSemaphoreTest, TimedAcquisitionsTimeOutAgainstConflicts) {
   sem.unlock();
 }
 
-TEST(SeqCounterTest, BumpAdvances) {
-  SeqCounter seq;
-  EXPECT_EQ(seq.Read(), 0u);
-  seq.Bump();
-  seq.Bump();
-  EXPECT_EQ(seq.Read(), 2u);
-}
-
 // --- Seqlock interface conformance (the VM speculation validator's contract) ---
 
 TEST(SeqCounterTest, WriteSectionTogglesParity) {

@@ -2,7 +2,7 @@
 // policy, overflow-to-neighbour allocation, the no-straddle invariant at window edges,
 // cross-stripe classification to the full-range path, the per-stripe counter isolation
 // claim (churn in stripe A causes no speculative-fault retries in stripe B), and exact
-// counts from per-thread counter slots that threads share.
+// counts from per-thread counter slots that threads share, each fault counted once.
 #include <atomic>
 #include <chrono>
 #include <set>
@@ -528,6 +528,65 @@ TEST(VmStripeTest, CountersStayExactWhenThreadSlotsCollide) {
     }
   }
   EXPECT_TRUE(as.CheckInvariants());
+}
+
+// A fault counts only the outcome that ends it (kFaultOutcomes) and `faults` is derived
+// from those, so drive one fault down each path and check every count, flat and per
+// stripe: a path that counted twice, or an outcome the fold left out, shows here.
+TEST(VmStripeTest, EveryFaultIsCountedExactlyOnce) {
+  struct Want {
+    uint64_t faults, spec_ok, try_ok, try_fallback, spec_fallback, errors;
+  };
+  auto expect = [](const VmStripeStats& s, Want w, const char* where) {
+    EXPECT_EQ(s.faults.load(), w.faults) << where;
+    EXPECT_EQ(s.fault_spec_ok.load(), w.spec_ok) << where;
+    EXPECT_EQ(s.fault_try_ok.load(), w.try_ok) << where;
+    EXPECT_EQ(s.fault_try_fallback.load(), w.try_fallback) << where;
+    EXPECT_EQ(s.fault_spec_fallback.load(), w.spec_fallback) << where;
+    EXPECT_EQ(s.fault_errors.load(), w.errors) << where;
+    EXPECT_EQ(s.fault_spec_retry.load(), 0u) << where;
+  };
+
+  // Scoped space: stripe 0 takes a speculative success and a speculative refusal,
+  // stripe 1 a gap that only the locked path may adjudicate.
+  AddressSpace as(VmVariant::kListScoped, 2);
+  const uint64_t rw = as.MmapInStripe(0, kPage, kProtRead | kProtWrite);
+  const uint64_t ro = as.MmapInStripe(0, kPage, kProtRead);
+  const uint64_t lo = as.MmapInStripe(1, kPage, kProtRead);
+  const uint64_t hi = as.MmapInStripe(1, kPage, kProtRead);
+  ASSERT_TRUE(rw != 0 && ro != 0 && lo != 0);
+  ASSERT_EQ(hi, lo + 2 * kPage) << "consecutive carves leave one guard page between";
+  EXPECT_TRUE(as.PageFault(rw, true));
+  EXPECT_FALSE(as.PageFault(ro, true)) << "a write to a read-only page";
+  EXPECT_FALSE(as.PageFault(lo + kPage, false)) << "the guard page is a gap";
+  const VmStats& st = as.Stats();
+  expect(st.stripe(0), {2, 2, 0, 0, 0, 1}, "scoped, stripe 0");
+  expect(st.stripe(1), {1, 0, 1, 0, 1, 1}, "scoped, stripe 1");
+  expect(st, {3, 2, 1, 0, 1, 2}, "scoped, flat");
+  EXPECT_EQ(st.Faults(), 3u);
+
+  // list-refined faults on the locked path. A write lock held on the page makes a
+  // second thread's trylock fail; the fault counts that outcome, then blocks.
+  AddressSpace rs(VmVariant::kListRefined);
+  const uint64_t page = rs.Mmap(kPage, kProtRead | kProtWrite);
+  ASSERT_NE(page, 0u);
+  EXPECT_TRUE(rs.PageFault(page, true));
+  void* h = rs.Lock().LockWrite({page, page + kPage});
+  std::atomic<bool> done{false};
+  std::atomic<bool> ok{false};
+  std::thread faulter([&] {
+    ok.store(rs.PageFault(page, false));
+    done.store(true);
+  });
+  EXPECT_TRUE(testing::EventuallyTrue(
+      [&] { return rs.Stats().fault_try_fallback.load() == 1; }));
+  EXPECT_FALSE(done.load()) << "a fault got past a held write lock on its page";
+  rs.Lock().UnlockWrite(h);
+  faulter.join();
+  EXPECT_TRUE(ok.load());
+  const VmStats& rst = rs.Stats();
+  expect(rst.stripe(0), {2, 0, 1, 1, 0, 0}, "refined, stripe 0");
+  expect(rst, {2, 0, 1, 1, 0, 0}, "refined, flat");
 }
 
 }  // namespace

@@ -436,10 +436,7 @@ TEST_P(VmStructuralFuzzTest, MprotectDuringFaultTornReadOracle) {
 std::vector<FuzzParam> AllFuzzParams() {
   std::vector<FuzzParam> params;
   for (const VmVariant v : kAllVmVariants) {
-    // list-lf-full lost every 4-core comparison and is on its way out of the tree.
-    if (v != VmVariant::kListLfFull) {
-      params.push_back({v, 1});
-    }
+    params.push_back({v, 1});
   }
   // Multi-stripe spaces for the variants whose machinery is per-stripe.
   params.push_back({VmVariant::kTreeScoped, 4});

@@ -8,6 +8,7 @@
 // vm_fault_unmap_race_test; this file pins the sweep machinery itself, mostly
 // single-threaded so every expectation is exact.
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "src/epoch/sweep_queue.h"
 #include "src/vm/address_space.h"
 #include "src/vm/page_table.h"
+#include "tests/common/test_clock.h"
 
 namespace srl::vm {
 namespace {
@@ -305,6 +307,7 @@ TEST_P(VmSweepTest, FlusherVsFaultHammerOnTrimmedWindow) {
 
   std::atomic<bool> stop{false};
   std::atomic<bool> ok{true};
+  std::atomic<uint64_t> faults{0};
   std::thread faulter([&] {
     uint64_t p = 0;
     while (!stop.load(std::memory_order_acquire)) {
@@ -312,15 +315,32 @@ TEST_P(VmSweepTest, FlusherVsFaultHammerOnTrimmedWindow) {
         ok.store(false);  // the mapping never goes away: a fault must never fail
         return;
       }
+      faults.fetch_add(1, std::memory_order_relaxed);
       p = (p + 1) % 8;
     }
   });
-  for (int i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(as.MadviseDontNeed(base, 8 * kPage));
+  // A hammer whose trims finish before the faulter starts races nothing. Trim only once
+  // the faulter has completed a fault, and keep trimming until it has completed
+  // kOverlapFaults more while the trims ran, so the flusher's leaf walks and frees
+  // really meet its installs. The deadline only bounds a broken build.
+  constexpr int kMinTrims = 2000;
+  constexpr uint64_t kOverlapFaults = 20000;
+  EXPECT_TRUE(testing::EventuallyTrue([&] { return faults.load() > 0 || !ok.load(); }));
+  const uint64_t before = faults.load();
+  const auto deadline = std::chrono::steady_clock::now() + testing::kEventuallyDeadline;
+  bool trimmed = true;
+  for (int i = 0; trimmed && ok.load() &&
+                  (i < kMinTrims || faults.load() - before < kOverlapFaults) &&
+                  std::chrono::steady_clock::now() < deadline;
+       ++i) {
+    trimmed = as.MadviseDontNeed(base, 8 * kPage);
   }
+  const uint64_t overlap = faults.load() - before;
   stop.store(true, std::memory_order_release);
   faulter.join();
+  EXPECT_TRUE(trimmed);
   EXPECT_TRUE(ok.load());
+  EXPECT_GE(overlap, kOverlapFaults) << "the faults and the trims barely overlapped";
   EXPECT_TRUE(as.CheckInvariants());
 
   // Quiesced, every page re-faults to a stable present state.

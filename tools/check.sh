@@ -67,13 +67,21 @@ run_config() {
   if [[ "$config" == plain ]]; then
     ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS"
     # Race-sensitive tests, 30 repeats each with 8 running at once: a rare
-    # interleaving that one pass can miss shows up here (~3 s on 4 cores). The
+    # interleaving that one pass can miss shows up here (~4 s on 4 cores). The
     # flusher-vs-fault hammer races the page-table leaf walk against faults that
     # re-allocate the leaves it frees.
     echo "=== [$config] loaded repeats ==="
     ctest --test-dir "$build_dir" --output-on-failure \
       -R 'TimedReaderLostRaceConservesPoolNodes|CullsServeOldestParkedWaiterFirst|VmStripeTest|FlusherVsFaultHammerOnTrimmedWindow' \
       --repeat until-fail:30 -j8
+    # The lock-free fault's ordering oracles, 10 repeats each with 8 at once (~20 s;
+    # loaded like this, one oracle instance runs 1-2.5 s): the scoped fault-vs-unmap
+    # instances and the winner-cancel race. The fault validates behind an acquire fence,
+    # not a full one, so these are what would catch an install or a cancel the locks
+    # fail to order.
+    ctest --test-dir "$build_dir" --output-on-failure \
+      -R 'FaultVsUnmapOracle/.*scoped|WinnerCancelRacingAMunmapLeavesNoStalePage' \
+      --repeat until-fail:10 -j8
     if [[ "$OVERSUB" == 1 ]]; then
       # Oversubscription canary: far more threads than any CI core count, long enough
       # for the parking/cull machinery to engage. Exit status only — perf numbers from
