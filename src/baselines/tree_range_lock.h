@@ -32,7 +32,6 @@
 #include "src/harness/free_list.h"
 #include "src/harness/wait_stats.h"
 #include "src/rbtree/interval_tree.h"
-#include "src/sync/admission.h"
 #include "src/sync/deadline.h"
 #include "src/sync/spin_lock.h"
 #include "src/sync/spin_wait.h"
@@ -142,19 +141,10 @@ class TreeRangeLock {
     if (deadline.IsInfinite()) {
       // Audit (wait-loop unification): the blocking-count watch runs on SpinWait (the
       // shared spin-then-yield primitive) instead of DeadlineSpinner's clock cadence —
-      // an infinite wait has no clock to read. Once yielding, each round goes through
-      // the admission spinner, which caps how many of these watchers burn scheduler
-      // quanta at once and periodically rotates the active slot to a parked waiter
-      // (the FIFO-admission pathology means a watcher can block later arrivals while
-      // itself parked — eventual rotation is what keeps that chain live).
-      AdmissionSpinner gate_spinner(&gate_, deadline);
+      // an infinite wait has no clock to read.
       SpinWait spin;
       while (n->blocking.load(std::memory_order_acquire) > 0) {
-        if (!spin.Yielding()) {
-          spin.Spin();
-        } else {
-          gate_spinner.Pause();
-        }
+        spin.Spin();
       }
       *out = n;
       return true;
@@ -220,40 +210,19 @@ class TreeRangeLock {
   }
 
   void LockInternal() {
-    if (spin_stats_ != nullptr) {
-      const uint64_t t0 = WaitStats::NowNs();
-      LockInternalContended();
-      spin_stats_->RecordWrite(WaitStats::NowNs() - t0);
+    if (spin_stats_ == nullptr) {
+      spin_.lock();
       return;
     }
-    LockInternalContended();
-  }
-
-  // The one spin lock every acquisition and release funnels through (the §3
-  // serialization pathology) is also where oversubscription hurts first: hundreds of
-  // spinners starve the holder of CPU. Uncontended acquisitions stay a bare try_lock;
-  // a contended one takes an admission ticket, so at most ~#cores threads spin on the
-  // lock word while the surplus parks. The ticket spans only the spin acquisition —
-  // the caller's critical section under spin_ runs ungated, keeping hold times short.
-  void LockInternalContended() {
-    if (spin_.try_lock()) {
-      return;
-    }
-    AdmissionGate::Ticket ticket(&spin_gate_);
+    const uint64_t t0 = WaitStats::NowNs();
     spin_.lock();
+    spin_stats_->RecordWrite(WaitStats::NowNs() - t0);
   }
 
   SpinLock spin_;
   IntervalTree<Node> tree_;
   uint64_t next_seq_ = 1;  // guarded by spin_
   WaitStats* spin_stats_ = nullptr;
-  // Two gates on purpose. gate_ caps the blocking-count watch loops, whose slots are
-  // held across waits as long as the conflicting owner's critical section. spin_gate_
-  // caps contenders on spin_, where a slot lives for a µs-scale tree operation.
-  // Sharing one gate lets watchers exhaust the cap and park releasers — the thread
-  // that would have made the watchers' wait finite — behind them.
-  AdmissionGate gate_;
-  AdmissionGate spin_gate_;
 };
 
 }  // namespace srl

@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/sync/topology.h"
+
 namespace srl {
 
 class Table {
@@ -84,7 +86,7 @@ class Table {
 // table's title line carries for humans — and writes them as one JSON document:
 //
 //   {"bench": "<name>",
-//    "tables": [{"meta": {...}, "headers": [...],
+//    "tables": [{"meta": {"cpus": <n>, ...}, "headers": [...],
 //                "rows": [{"<header>": <cell>, ...}, ...]}, ...]}
 //
 // Cells that parse fully as numbers are emitted as JSON numbers so downstream tooling
@@ -95,9 +97,12 @@ class BenchJson {
  public:
   explicit BenchJson(std::string bench_name) : bench_name_(std::move(bench_name)) {}
 
-  // meta: flat key/value pairs describing the panel (variant, read_pct, ...).
+  // meta: flat key/value pairs describing the panel (variant, read_pct, ...). Every
+  // table also records `cpus`, the core count it was measured on, so no bench has to
+  // remember to.
   void AddTable(std::vector<std::pair<std::string, std::string>> meta,
                 const Table& table) {
+    meta.insert(meta.begin(), {"cpus", std::to_string(CpuCount())});
     tables_.push_back({std::move(meta), table.Headers(), table.Rows()});
   }
 

@@ -1,22 +1,22 @@
-// Concurrency-restricting admission control for saturated locks.
+// Concurrency-restricting admission control for saturated lock wait loops.
 //
 // Every lock in this tree scales until it saturates and then collapses under
-// oversubscription: with 1024 threads contending a resource that admits ~#cores of
-// useful parallelism, the surplus threads burn scheduler quanta spinning and yielding,
-// starving the very holders they wait for. The fix — from "Avoiding Scalability
-// Collapse by Restricting Concurrency" (Dice & Kogan) — is to cap the number of
-// *active* contenders at roughly the core count and divert the surplus onto a passive
-// parking list: parked threads sleep on a futex and cost nothing, and each release
-// culls one back to the active set, so the contention level at the lock itself never
-// exceeds what the hardware can service.
+// oversubscription: with hundreds of threads contending a resource that admits ~#cores
+// of useful parallelism, the surplus threads burn scheduler quanta spinning and
+// yielding, starving the very holders they wait for. The fix — from "Avoiding
+// Scalability Collapse by Restricting Concurrency" (Dice & Kogan) — is to cap the
+// number of *active* contenders at roughly the core count and divert the surplus onto a
+// passive parking list: parked threads sleep on a futex and cost nothing, and each
+// release culls one back to the active set, so the contention level at the lock itself
+// never exceeds what the hardware can service.
 //
 // AdmissionGate is that cap. Design points:
 //
 //   * The cap is SOFT. Enter's fast path CASes `active_` below the cap; a release
-//     that hands its slot to a culled waiter does fetch_sub + claim + fetch_add, and a
-//     fast-path entry can slip into that window, transiently overshooting the cap by
-//     the number of concurrent culls. Correctness never depends on the cap (the gated
-//     lock provides exclusion); the cap only shapes contention, so a bounded
+//     that hands its slot to a culled waiter does fetch_sub + fetch_add on the waiter's
+//     behalf, and a fast-path entry can slip into that window, transiently overshooting
+//     the cap by the number of concurrent culls. Correctness never depends on the cap
+//     (the gated lock provides exclusion); the cap only shapes contention, so a bounded
 //     transient overshoot is the right trade against a hard cap's extra CAS loop.
 //   * The parking list is one two-list queue: a lock-free Treiber push stack, drained
 //     by a popper (serialized by a tiny spin lock, which makes pop ABA-free without
@@ -32,26 +32,20 @@
 //     (seq_cst) and cull if nonzero. In the seq_cst total order one of the two
 //     observes the other, so a waiter can never sleep on a slot nobody will hand over
 //     (tests/admission_test.cpp hammers exactly this race).
-//   * Trylock bypass: an Immediate deadline never parks — Enter admits over the cap
-//     and returns, so a trylock is never turned into a wait (the kernel-trylock rule).
-//     Timed waiters park politely but poll their own state word and abandon it at the
-//     deadline; an abandoned waiter node stays in the queue and is reaped by the next
-//     popper (or the gate destructor).
 //   * Waiter nodes are heap-allocated and reference-counted (waiter + stack/claimer),
 //     because a claimer must be free to notify a waiter that may already have woken
 //     spuriously and be about to return — the last reference frees the node, so the
 //     notify never touches freed memory.
 //
-// AdmissionSpinner composes the gate with the Deadline/SpinWait wait-loop machinery:
-// lock wait loops call Pause() where they used to call std::this_thread::yield()
-// (outside any epoch critical section — a parked thread must never pin reclamation).
-// Pause periodically rotates the admission slot: every kRotatePeriod-th pause with
-// waiters parked, the holder exits the gate (culling the oldest waiter) and re-enters
-// — possibly parking — before its next watch round. Eventual rotation plus FIFO culls
-// is the liveness argument for chained acquisitions: if a parked thread holds
-// resource A that every active spinner waits on, the spinners' own Pause calls cycle
-// it back into the active set within a bounded number of rounds, so the parking list
-// can never stall a dependency chain.
+// AdmissionSpinner composes the gate with the lock wait loops: they call Pause() where
+// they used to call std::this_thread::yield() (outside any epoch critical section — a
+// parked thread must never pin reclamation). Pause periodically rotates the admission
+// slot: every kRotatePeriod-th pause with waiters parked, the holder exits the gate
+// (culling the oldest waiter) and re-enters — possibly parking — before its next watch
+// round. Eventual rotation plus FIFO culls is the liveness argument for chained
+// acquisitions: if a parked thread holds resource A that every active spinner waits on,
+// the spinners' own Pause calls cycle it back into the active set within a bounded
+// number of rounds, so the parking list can never stall a dependency chain.
 #ifndef SRL_SYNC_ADMISSION_H_
 #define SRL_SYNC_ADMISSION_H_
 
@@ -77,20 +71,16 @@ class AdmissionGate {
   AdmissionGate(const AdmissionGate&) = delete;
   AdmissionGate& operator=(const AdmissionGate&) = delete;
 
-  // Reaps abandoned (timed-out) waiter nodes still sitting in the queue. No waiter
-  // may still be parked — destroying a gate out from under sleeping threads is a
-  // caller bug, same contract as destroying a locked mutex.
+  // Destroying a gate out from under sleeping threads is a caller bug, same contract
+  // as destroying a locked mutex.
   ~AdmissionGate() {
-    while (Waiter* w = PopWaiter()) {
-      assert(w->state.load(std::memory_order_relaxed) == kAbandoned &&
-             "waiter still parked at gate destruction");
-      DropRef(w);
-    }
+    assert(parked_count_.load(std::memory_order_relaxed) == 0 &&
+           "waiter still parked at gate destruction");
   }
 
-  // Global kill switch, for measuring gated-vs-ungated in one binary
-  // (bench/abl_oversub --gate=off). Checked at Enter time by the RAII wrappers, which
-  // remember the answer so a toggle mid-flight can never unbalance Enter/Exit pairs.
+  // Global kill switch, for measuring the spinner on and off in one binary
+  // (bench/abl_oversub --gates=on,off). Read only by AdmissionSpinner's constructor,
+  // which remembers the answer so a toggle mid-flight can never unbalance Enter/Exit.
   static void SetGloballyEnabled(bool on) {
     globally_enabled_.store(on, std::memory_order_relaxed);
   }
@@ -98,54 +88,24 @@ class AdmissionGate {
     return globally_enabled_.load(std::memory_order_relaxed);
   }
 
-  // Admission. Returns true once admitted (the caller owns one active slot and must
-  // Exit() it); false only for a timed deadline that expired before admission. An
-  // immediate deadline admits over the cap — the trylock bypass rule.
+  // Admission. Returns once admitted; the caller owns one active slot and must Exit()
+  // it.
   //
-  // Saturation does NOT park immediately: gated resources span hold times from a few
-  // hundred nanoseconds (the tree lock's internal spin) to whole user critical
-  // sections, and turning every sub-microsecond handoff into a futex sleep+wake would
-  // cost more than the contention it prevents. Enter therefore spins politely first
-  // (spin-then-park): the SpinWait relax phase plus a few yields — enough for a
+  // Saturation does NOT park immediately: a watch-loop slot may be freed within a
+  // sub-microsecond handoff, and turning every such handoff into a futex sleep+wake
+  // would cost more than the contention it prevents. Enter therefore spins politely
+  // first (spin-then-park): the SpinWait relax phase plus a few yields — enough for a
   // preempted holder to run and free a slot — and only a waiter that outlives that
   // patience is a genuine surplus worth parking.
-  bool Enter(const Deadline& deadline) {
-    uint32_t a = active_.load(std::memory_order_relaxed);
-    // Audit (wait-loop unification): contended-CAS retry runs on Backoff, the shared
-    // primitive, not a hand-rolled pause loop.
-    Backoff backoff;
-    while (a < cap_) {
-      if (active_.compare_exchange_weak(a, a + 1, std::memory_order_acquire,
-                                        std::memory_order_relaxed)) {
-        return true;
-      }
-      backoff.Spin();
-    }
-    if (deadline.IsImmediate()) {
-      active_.fetch_add(1, std::memory_order_acquire);
-      return true;
-    }
-    // Patience phase. A timed deadline that expires here returns false without ever
-    // parking (no park/timeout accounting — the node was never on a stack).
+  void Enter() {
     SpinWait spin;
-    unsigned yields = 0;
-    for (;;) {
-      a = active_.load(std::memory_order_relaxed);
-      while (a < cap_) {
-        if (active_.compare_exchange_weak(a, a + 1, std::memory_order_acquire,
-                                          std::memory_order_relaxed)) {
-          return true;
-        }
-      }
-      if (!deadline.IsInfinite() && deadline.Expired()) {
-        return false;
-      }
+    for (unsigned yields = 0; !TryAdmit();) {
       if (spin.Yielding() && ++yields > kPatienceYields) {
-        break;
+        Park();
+        return;
       }
       spin.Spin();
     }
-    return Park(deadline);
   }
 
   // Releases an active slot; if waiters are parked, hands the slot to the oldest.
@@ -166,35 +126,11 @@ class AdmissionGate {
   // Counters for benches and tests.
   uint64_t Parks() const { return parks_.load(std::memory_order_acquire); }
   uint64_t Culls() const { return culls_.load(std::memory_order_relaxed); }
-  uint64_t Timeouts() const { return timeouts_.load(std::memory_order_relaxed); }
 
   // Process-wide totals across every gate instance, for benches that cannot reach the
   // private per-lock gates (bench/abl_oversub reports per-cell deltas of these).
   static uint64_t TotalParks() { return total_parks_.load(std::memory_order_relaxed); }
   static uint64_t TotalCulls() { return total_culls_.load(std::memory_order_relaxed); }
-
-  // RAII slot for straight-line gated sections (the full-space VmLock write path and
-  // the tree lock's internal spin): enters on construction — honoring the global
-  // enable switch — and exits on destruction. A null gate is a no-op ticket.
-  class Ticket {
-   public:
-    explicit Ticket(AdmissionGate* gate)
-        : gate_(gate != nullptr && GloballyEnabled() ? gate : nullptr) {
-      if (gate_ != nullptr) {
-        gate_->Enter(Deadline::Infinite());
-      }
-    }
-    ~Ticket() {
-      if (gate_ != nullptr) {
-        gate_->Exit();
-      }
-    }
-    Ticket(const Ticket&) = delete;
-    Ticket& operator=(const Ticket&) = delete;
-
-   private:
-    AdmissionGate* gate_;
-  };
 
  private:
   // Yields tolerated after the SpinWait relax phase before a saturated Enter parks.
@@ -203,9 +139,8 @@ class AdmissionGate {
   // plus one or two yields is enough for a holder to exit.
   static constexpr unsigned kPatienceYields = 8;
 
-  static constexpr uint32_t kParked = 0;     // waiting for a slot (futex word value)
-  static constexpr uint32_t kClaimed = 1;    // slot handed over; waiter may proceed
-  static constexpr uint32_t kAbandoned = 2;  // timed out; node awaits reaping
+  static constexpr uint32_t kParked = 0;   // waiting for a slot (futex word value)
+  static constexpr uint32_t kClaimed = 1;  // slot handed over; waiter may proceed
 
   struct Waiter {
     std::atomic<uint32_t> state{kParked};
@@ -217,11 +152,23 @@ class AdmissionGate {
 
   struct Queue {
     std::atomic<Waiter*> top{nullptr};  // lock-free push side (newest first)
-    // Oldest-first batch, refilled by reversing a detached push stack. Guarded by
-    // pop_lock (atomic only so the destructor's reap loop can read it plainly).
-    std::atomic<Waiter*> fifo{nullptr};
-    SpinLock pop_lock;  // single popper: makes pop ABA-free
+    Waiter* fifo = nullptr;  // oldest-first batch; guarded by pop_lock
+    SpinLock pop_lock;       // single popper: makes pop ABA-free
   };
+
+  // Takes a slot if one is free below the cap; contended CAS retries run on Backoff.
+  bool TryAdmit() {
+    uint32_t a = active_.load(std::memory_order_relaxed);
+    Backoff backoff;
+    while (a < cap_) {
+      if (active_.compare_exchange_weak(a, a + 1, std::memory_order_acquire,
+                                        std::memory_order_relaxed)) {
+        return true;
+      }
+      backoff.Spin();
+    }
+    return false;
+  }
 
   static void DropRef(Waiter* w) {
     if (w->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -256,7 +203,7 @@ class AdmissionGate {
   // is cheap and CullOne only runs on the Exit slow path.
   Waiter* PopWaiter() {
     std::lock_guard<SpinLock> g(queue_.pop_lock);
-    Waiter* f = queue_.fifo.load(std::memory_order_relaxed);
+    Waiter* f = queue_.fifo;
     if (f == nullptr) {
       Waiter* t = queue_.top.exchange(nullptr, std::memory_order_acquire);
       while (t != nullptr) {
@@ -271,34 +218,28 @@ class AdmissionGate {
         return nullptr;
       }
     }
-    queue_.fifo.store(f->next, std::memory_order_relaxed);
+    queue_.fifo = f->next;
     return f;
   }
 
-  // Pops parked waiters until one is successfully claimed (its slot is transferred
-  // and it is woken) or the queue is dry. Abandoned nodes encountered on the way are
-  // reaped. Returns whether a waiter was culled.
-  bool CullOne() {
-    while (Waiter* w = PopWaiter()) {
-      uint32_t expected = kParked;
-      if (w->state.compare_exchange_strong(expected, kClaimed, std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
-        parked_count_.fetch_sub(1, std::memory_order_seq_cst);
-        // Transfer the slot on the waiter's behalf (see the soft-cap note above).
-        active_.fetch_add(1, std::memory_order_relaxed);
-        culls_.fetch_add(1, std::memory_order_relaxed);
-        total_culls_.fetch_add(1, std::memory_order_relaxed);
-        w->state.notify_one();
-        DropRef(w);
-        return true;
-      }
-      // Timed out while parked; reap and keep looking.
-      DropRef(w);
+  // Pops the oldest parked waiter, if any, and hands it the slot: the transfer (see
+  // the soft-cap note above) is counted before the waiter can see its claim, so a
+  // woken waiter's own Exit never runs ahead of the increment made on its behalf.
+  void CullOne() {
+    Waiter* w = PopWaiter();
+    if (w == nullptr) {
+      return;
     }
-    return false;
+    parked_count_.fetch_sub(1, std::memory_order_seq_cst);
+    active_.fetch_add(1, std::memory_order_relaxed);
+    culls_.fetch_add(1, std::memory_order_relaxed);
+    total_culls_.fetch_add(1, std::memory_order_relaxed);
+    w->state.store(kClaimed, std::memory_order_release);
+    w->state.notify_one();
+    DropRef(w);
   }
 
-  bool Park(const Deadline& deadline) {
+  void Park() {
     Waiter* w = new Waiter;
     PushWaiter(w);
     parked_count_.fetch_add(1, std::memory_order_seq_cst);
@@ -316,38 +257,10 @@ class AdmissionGate {
     // claimed).
     parks_.fetch_add(1, std::memory_order_release);
     total_parks_.fetch_add(1, std::memory_order_relaxed);
-    if (deadline.IsInfinite()) {
-      uint32_t s;
-      while ((s = w->state.load(std::memory_order_acquire)) == kParked) {
-        w->state.wait(kParked, std::memory_order_acquire);
-      }
-      assert(s == kClaimed);
-      DropRef(w);
-      return true;
+    while (w->state.load(std::memory_order_acquire) == kParked) {
+      w->state.wait(kParked, std::memory_order_acquire);
     }
-    // Timed park: std::atomic::wait has no timeout, so poll the state word (the same
-    // spin-then-yield cadence as every timed wait in the tree) and abandon at expiry.
-    DeadlineSpinner spinner(deadline);
-    for (;;) {
-      if (w->state.load(std::memory_order_acquire) == kClaimed) {
-        DropRef(w);
-        return true;
-      }
-      if (!spinner.SpinOrExpire()) {
-        uint32_t expected = kParked;
-        if (w->state.compare_exchange_strong(expected, kAbandoned,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire)) {
-          parked_count_.fetch_sub(1, std::memory_order_seq_cst);
-          timeouts_.fetch_add(1, std::memory_order_relaxed);
-          DropRef(w);  // the queue's popper (or the destructor) frees the node
-          return false;
-        }
-        // Claimed in the expiry window: the slot is ours after all.
-        DropRef(w);
-        return true;
-      }
-    }
+    DropRef(w);
   }
 
   static std::atomic<bool> globally_enabled_;
@@ -359,7 +272,6 @@ class AdmissionGate {
   std::atomic<uint32_t> parked_count_{0};
   std::atomic<uint64_t> parks_{0};
   std::atomic<uint64_t> culls_{0};
-  std::atomic<uint64_t> timeouts_{0};
   Queue queue_;
 };
 
@@ -376,7 +288,8 @@ inline std::atomic<uint64_t> AdmissionGate::total_culls_{0};
 //
 // Timed and immediate deadlines bypass the gate entirely (Pause degenerates to the
 // pre-gate yield): a trylock must not park, and a timed waiter's deadline bounds its
-// wait more tightly than the gate's queueing ever could.
+// wait more tightly than the gate's queueing ever could. So does the global kill
+// switch, read once here.
 class AdmissionSpinner {
  public:
   AdmissionSpinner(AdmissionGate* gate, const Deadline& deadline)
@@ -409,7 +322,7 @@ class AdmissionSpinner {
         holding_ = false;
       }
       if (!holding_) {
-        gate_->Enter(Deadline::Infinite());
+        gate_->Enter();
         holding_ = true;
       }
     }

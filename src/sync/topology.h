@@ -1,7 +1,7 @@
 // The machine's core count, the one topology fact this tree uses: the admission
 // gate's default cap, the default stripe count of scoped address spaces, the epoch
 // layer's derived batch sizes and watchdog threshold, and the number of per-thread
-// counter slots all scale with it.
+// counter slots all scale with it, and every bench JSON table records it as `cpus`.
 //
 // Computed once per process. glibc answers hardware_concurrency() by reading sysfs
 // (microseconds per call), and every gated lock reads the count at construction, so

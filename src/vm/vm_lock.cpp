@@ -1,5 +1,6 @@
 #include "src/vm/vm_lock.h"
 
+#include "src/sync/admission.h"
 #include "src/sync/cacheline.h"
 #include "src/vm/vma_index.h"
 

@@ -48,7 +48,6 @@
 #include "src/core/list_rw_range_lock.h"
 #include "src/core/range.h"
 #include "src/harness/wait_stats.h"
-#include "src/sync/admission.h"
 #include "src/sync/cacheline.h"
 #include "src/sync/rw_semaphore.h"
 #include "src/sync/topology.h"
@@ -79,13 +78,6 @@ class VmLock {
 
   void* LockWrite(const Range& r) {
     CountWrite(r);
-    // Full-space writes are the one acquisition class with no range parallelism at
-    // all: every contender serializes on the same logical resource regardless of
-    // backend, which is exactly the shape that collapses under oversubscription.
-    // Gate them at ~#cores of active contenders; the surplus parks. The ticket spans
-    // only the acquisition (it releases once DoLockWrite returns), not the user's
-    // critical section — restricting *contention*, not *concurrency of holders*.
-    AdmissionGate::Ticket ticket(r == Range::Full() ? &full_write_gate_ : nullptr);
     if (stats_ == nullptr) {
       return DoLockWrite(r);
     }
@@ -179,8 +171,6 @@ class VmLock {
 
   WaitStats* stats_ = nullptr;
   SlotBlocks<WriteCounts> writes_{1};  // one WriteCounts per counter slot
-  // Admission control for the full-address-space write path (see LockWrite).
-  AdmissionGate full_write_gate_;
 };
 
 // Factory. `stripes` is the guarded space's stripe count (VmaIndex::StripeCount());

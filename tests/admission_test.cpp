@@ -1,11 +1,12 @@
 // Parking-lot conformance battery for the concurrency-restricting admission gate
-// (src/sync/admission.h) and a unit test for the cached core count it is built on.
+// (src/sync/admission.h), the spinner that wires it into lock wait loops, and a unit
+// test for the cached core count it is built on.
 //
 // The races pinned here are the ones the gate's Dekker protocol exists for:
-//   * release-vs-park: an Exit concurrent with a Park must never strand the parker
-//     (ReleaseVsParkRaceHammer — completion IS the assertion);
-//   * timed waiter: a parked waiter with a deadline unparks at the deadline and the
-//     abandoned node is reaped, not leaked;
+//   * release-vs-park: an Exit concurrent with a Park must never strand the parker, and
+//     every park is matched by exactly one cull (ReleaseVsParkRaceHammer — completion
+//     is the liveness assertion);
+//   * cull order: culls serve the oldest parked waiter first;
 //   * cull re-admission: a culled waiter owns a live slot and its own Exit hands the
 //     slot onward.
 #include <algorithm>
@@ -41,7 +42,7 @@ TEST(AdmissionGateTest, CapDerivesFromTopologyByDefault) {
 TEST(AdmissionGateTest, EnterBelowCapNeverParks) {
   AdmissionGate gate(4);
   for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(gate.Enter(Deadline::Infinite()));
+    gate.Enter();
   }
   EXPECT_EQ(gate.Active(), 4u);
   EXPECT_EQ(gate.Parks(), 0u);
@@ -51,44 +52,12 @@ TEST(AdmissionGateTest, EnterBelowCapNeverParks) {
   EXPECT_EQ(gate.Active(), 0u);
 }
 
-TEST(AdmissionGateTest, ImmediateDeadlineAdmitsOverCap) {
-  // The trylock bypass rule: a trylock caller is never turned into a waiter, even
-  // with the gate saturated — it is admitted over the (soft) cap.
-  AdmissionGate gate(1);
-  ASSERT_TRUE(gate.Enter(Deadline::Infinite()));
-  EXPECT_TRUE(gate.Enter(Deadline::Immediate()));
-  EXPECT_EQ(gate.Active(), 2u);
-  EXPECT_EQ(gate.Parks(), 0u);
-  gate.Exit();
-  gate.Exit();
-}
-
-TEST(AdmissionGateTest, TimedWaiterUnparksAtDeadline) {
-  AdmissionGate gate(1);
-  ASSERT_TRUE(gate.Enter(Deadline::Infinite()));  // saturate
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(gate.Enter(Deadline::After(std::chrono::milliseconds(30))));
-  const auto waited = std::chrono::steady_clock::now() - t0;
-  EXPECT_GE(waited, std::chrono::milliseconds(25));
-  // Whether the waiter actually PARKED depends on scheduling: on a loaded box the
-  // spin-then-park patience phase alone can consume the whole deadline (its yields
-  // cede the CPU for arbitrarily long), and a patience-phase expiry returns false
-  // without ever touching a stack. Either way the accounting must balance: a park
-  // that expired is a timeout, a parkless expiry is neither.
-  EXPECT_LE(gate.Parks(), 1u);
-  EXPECT_EQ(gate.Timeouts(), gate.Parks());
-  EXPECT_EQ(gate.Culls(), 0u);
-  gate.Exit();
-  // If the waiter parked, its abandoned node is still on the stack; the destructor
-  // must reap it (ASan would flag the leak if it did not).
-}
-
 TEST(AdmissionGateTest, CulledWaiterReadmitsAfterOwnerExits) {
   AdmissionGate gate(1);
-  ASSERT_TRUE(gate.Enter(Deadline::Infinite()));  // owner
+  gate.Enter();  // owner
   std::atomic<bool> admitted{false};
   std::thread waiter([&] {
-    EXPECT_TRUE(gate.Enter(Deadline::Infinite()));
+    gate.Enter();
     admitted.store(true, std::memory_order_release);
     gate.Exit();
   });
@@ -111,12 +80,12 @@ TEST(AdmissionGateTest, CulledWaiterReadmitsAfterOwnerExits) {
 // on — starves at the stack bottom (a real deadlock this test pins the fix for).
 TEST(AdmissionGateTest, CullsServeOldestParkedWaiterFirst) {
   AdmissionGate gate(1);
-  ASSERT_TRUE(gate.Enter(Deadline::Infinite()));  // owner saturates the cap
+  gate.Enter();  // owner saturates the cap
   std::atomic<int> order{0};
   std::atomic<int> woken_first{-1};
   std::atomic<int> woken_second{-1};
   auto waiter_fn = [&](int id) {
-    ASSERT_TRUE(gate.Enter(Deadline::Infinite()));
+    gate.Enter();
     if (order.fetch_add(1, std::memory_order_acq_rel) == 0) {
       woken_first.store(id, std::memory_order_relaxed);
     } else {
@@ -140,9 +109,9 @@ TEST(AdmissionGateTest, CullsServeOldestParkedWaiterFirst) {
   EXPECT_EQ(gate.Culls(), 2u);
 }
 
-// The Dekker pairing under fire: with cap 1 and several threads hammering
-// Enter(infinite)/Exit, every park must be matched by a cull — a single lost wakeup
-// deadlocks the test (ctest's timeout is the failure detector).
+// The Dekker pairing under fire: with cap 1 and several threads hammering Enter/Exit,
+// every park must be matched by exactly one cull — a single lost wakeup deadlocks the
+// test (ctest's timeout is the failure detector).
 TEST(AdmissionGateTest, ReleaseVsParkRaceHammer) {
   constexpr int kThreads = 4;
   constexpr int kIters = 2000;
@@ -151,7 +120,7 @@ TEST(AdmissionGateTest, ReleaseVsParkRaceHammer) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kIters; ++i) {
-        ASSERT_TRUE(gate.Enter(Deadline::Infinite()));
+        gate.Enter();
         gate.Exit();
       }
     });
@@ -161,45 +130,23 @@ TEST(AdmissionGateTest, ReleaseVsParkRaceHammer) {
   }
   EXPECT_EQ(gate.Active(), 0u);
   EXPECT_FALSE(gate.HasParked());
-  EXPECT_EQ(gate.Culls(), gate.Parks() - gate.Timeouts());
+  EXPECT_EQ(gate.Culls(), gate.Parks());
 }
 
-// Timed parks racing infinite parks and exits: expired waiters must abandon cleanly
-// (their nodes reaped by later cullers or the destructor) without eating a cull that
-// an infinite waiter needed.
-TEST(AdmissionGateTest, TimedAndInfiniteWaitersMixedHammer) {
-  constexpr int kThreads = 4;
-  constexpr int kIters = 300;
+// The kill switch bench/abl_oversub --gates=off flips: a spinner built while it is off
+// never touches the gate, so even a saturated cap-1 gate cannot park it.
+TEST(AdmissionGateTest, GlobalKillSwitchMakesSpinnerInert) {
   AdmissionGate gate(1);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kIters; ++i) {
-        if (t % 2 == 0) {
-          ASSERT_TRUE(gate.Enter(Deadline::Infinite()));
-          gate.Exit();
-        } else if (gate.Enter(Deadline::After(std::chrono::microseconds(50)))) {
-          gate.Exit();
-        }
-      }
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  EXPECT_EQ(gate.Active(), 0u);
-  EXPECT_FALSE(gate.HasParked());
-}
-
-TEST(AdmissionGateTest, GlobalKillSwitchBypassesTicket) {
-  AdmissionGate gate(1);
-  ASSERT_TRUE(gate.Enter(Deadline::Infinite()));  // saturate
+  gate.Enter();  // saturate: entry would park
   AdmissionGate::SetGloballyEnabled(false);
   {
-    AdmissionGate::Ticket ticket(&gate);  // must not block or touch the gate
+    AdmissionSpinner spinner(&gate, Deadline::Infinite());
+    AdmissionGate::SetGloballyEnabled(true);  // read once, at construction
+    spinner.Pause();  // must not block or take a slot
     EXPECT_EQ(gate.Active(), 1u);
   }
-  AdmissionGate::SetGloballyEnabled(true);
+  EXPECT_EQ(gate.Active(), 1u);
+  EXPECT_EQ(gate.Parks(), 0u);
   gate.Exit();
 }
 
@@ -219,7 +166,7 @@ TEST(AdmissionSpinnerTest, InfiniteDeadlineHoldsOneSlotAcrossPauses) {
 
 TEST(AdmissionSpinnerTest, TimedDeadlineIsInert) {
   AdmissionGate gate(1);
-  ASSERT_TRUE(gate.Enter(Deadline::Infinite()));  // saturate: entry would park
+  gate.Enter();  // saturate: entry would park
   AdmissionSpinner spinner(&gate, Deadline::After(std::chrono::seconds(5)));
   spinner.Pause();  // must degenerate to a plain yield, not park
   EXPECT_EQ(gate.Active(), 1u);
@@ -233,7 +180,7 @@ TEST(AdmissionSpinnerTest, PauseRotatesSlotToParkedWaiter) {
   spinner.Pause();  // take the only slot
   ASSERT_EQ(gate.Active(), 1u);
   std::thread waiter([&] {
-    ASSERT_TRUE(gate.Enter(Deadline::Infinite()));
+    gate.Enter();
     gate.Exit();  // hand the slot back (culling the spinner if it re-parked)
   });
   while (!gate.HasParked()) {

@@ -3,9 +3,12 @@
 // cross-thread release, and destructor collection of marked residue. Exclusion and
 // try/timed semantics are covered by the shared conformance and fuzz batteries; this
 // file pins down what is specific to the bucketed structure.
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "src/core/list_lockfree_range_lock.h"
 #include "src/epoch/node_pool.h"
 #include "src/harness/prng.h"
+#include "src/sync/topology.h"
 
 namespace srl {
 namespace {
@@ -239,6 +243,61 @@ TEST(ListLockFreeRangeLockTest, SlowPathFastHeadHandoffStress) {
     total += u;
   }
   EXPECT_EQ(total, expected.load());
+  EXPECT_EQ(lock.DebugHeldCount(), 0);
+  EXPECT_TRUE(lock.DebugInvariantHolds());
+}
+
+// Liveness of the admission spinner's rotation under oversubscription. With more
+// threads than cores the lock's gate parks some waiters, and a Range::Full() chain
+// that parks while it waits at bucket b still holds every bucket below b, so the point
+// waiters in those buckets all wait on it. Only the active spinners' own rotation
+// (every kRotatePeriod-th Pause with waiters parked culls the oldest one) brings it
+// back: without it this test hangs. The per-window counters are non-atomic and written
+// only under the lock, so an exclusion hole shows up as a lost count.
+TEST(ListLockFreeRangeLockTest, OversubscribedFullChainsStayLive) {
+  constexpr uint64_t kWindows = 64;
+  constexpr int kIters = 20000;
+  const int threads = static_cast<int>(std::min(CpuCount() + 8, 64u));
+  ListLockFreeRangeLock lock(Options{.buckets = kWindows, .window_shift = 0});
+  uint64_t counts[kWindows] = {};  // non-atomic on purpose
+  std::vector<std::array<uint64_t, kWindows>> points(threads);  // per thread
+  std::vector<uint64_t> fulls(threads);
+  std::latch start(threads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      Xoshiro256 rng(0xf011 + t);
+      start.arrive_and_wait();
+      for (int i = 0; i < kIters; ++i) {
+        if (rng.NextBelow(8) == 0) {
+          ListLockFreeRangeLock::Guard g(lock, Range::Full());
+          for (uint64_t& c : counts) {
+            ++c;
+          }
+          ++fulls[t];
+        } else {
+          const uint64_t w = rng.NextBelow(kWindows);
+          ListLockFreeRangeLock::Guard g(lock, {w, w + 1});
+          ++counts[w];
+          ++points[t][w];
+        }
+      }
+    });
+  }
+  for (auto& th : workers) {
+    th.join();
+  }
+  uint64_t full = 0;
+  for (uint64_t f : fulls) {
+    full += f;
+  }
+  for (uint64_t w = 0; w < kWindows; ++w) {
+    uint64_t expected = full;
+    for (const auto& p : points) {
+      expected += p[w];
+    }
+    EXPECT_EQ(counts[w], expected) << "window " << w;
+  }
   EXPECT_EQ(lock.DebugHeldCount(), 0);
   EXPECT_TRUE(lock.DebugInvariantHolds());
 }

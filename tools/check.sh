@@ -7,9 +7,10 @@
 #   tools/check.sh plain          # just one (plain | thread | address)
 #   tools/check.sh --oversub plain
 #                                 # additionally run the oversubscription smoke (a
-#                                 # short bench/abl_oversub sweep at 64 threads) after
-#                                 # the plain test pass — a cheap "does the admission
-#                                 # gate still survive oversubscription" canary
+#                                 # short bench/abl_oversub sweep of the list backends
+#                                 # at 64 threads) after the plain test pass — a cheap
+#                                 # "does the admission spinner still survive
+#                                 # oversubscription" canary
 #
 # The sanitizer passes run the concurrency-heavy lock tests (not the full suite) to keep
 # wall-clock sane under the ~10x sanitizer slowdown; the plain pass runs everything —
@@ -67,12 +68,14 @@ run_config() {
   if [[ "$config" == plain ]]; then
     ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS"
     # Race-sensitive tests, 30 repeats each with 8 running at once: a rare
-    # interleaving that one pass can miss shows up here (~4 s on 4 cores). The
-    # flusher-vs-fault hammer races the page-table leaf walk against faults that
-    # re-allocate the leaves it frees.
+    # interleaving that one pass can miss shows up here. The flusher-vs-fault hammer
+    # races the page-table leaf walk against faults that re-allocate the leaves it
+    # frees. The admission gate's FIFO culls and the spinner rotation that keeps
+    # oversubscribed list-lf full chains live (OversubscribedFullChainsStayLive) run
+    # here further oversubscribed by their neighbours.
     echo "=== [$config] loaded repeats ==="
     ctest --test-dir "$build_dir" --output-on-failure \
-      -R 'TimedReaderLostRaceConservesPoolNodes|CullsServeOldestParkedWaiterFirst|VmStripeTest|FlusherVsFaultHammerOnTrimmedWindow' \
+      -R 'TimedReaderLostRaceConservesPoolNodes|CullsServeOldestParkedWaiterFirst|OversubscribedFullChainsStayLive|VmStripeTest|FlusherVsFaultHammerOnTrimmedWindow' \
       --repeat until-fail:30 -j8
     # The lock-free fault's ordering oracles, 10 repeats each with 8 at once (~20 s;
     # loaded like this, one oracle instance runs 1-2.5 s): the scoped fault-vs-unmap
@@ -84,11 +87,13 @@ run_config() {
       --repeat until-fail:10 -j8
     if [[ "$OVERSUB" == 1 ]]; then
       # Oversubscription canary: far more threads than any CI core count, long enough
-      # for the parking/cull machinery to engage. Exit status only — perf numbers from
-      # shared runners are not judged here (see tools/perf_diff.py for trajectories).
+      # for the spinner's parking/cull machinery to engage. Only the list backends
+      # carry the gate (stock and tree have none), on the two mixes where their
+      # waiters watch and park. Exit status only — perf numbers from shared runners
+      # are not judged here (see tools/perf_diff.py for trajectories).
       echo "=== [$config] oversubscription smoke ==="
       "$build_dir/bench/abl_oversub" \
-        --variants=stock,tree,list,list-lf --mixes=adversarial \
+        --variants=list,list-lf --mixes=adversarial,hot \
         --threads=64 --gates=on,off --secs=0.2 --repeats=1
     fi
   elif [[ "$config" == thread ]]; then
