@@ -1,9 +1,11 @@
 // Ablation — node-pool target size N (§4.4; the paper fixes N = 128).
 //
 // Measures the alloc/retire cycle cost as the pool size shrinks: a smaller N means more
-// frequent epoch barriers on refill; a larger N only costs memory. The benchmark
+// frequent refills, each of which parks its reclaimed batch behind a grace ticket (or
+// swaps it in at once when no section is in flight) and mallocs fresh nodes while the
+// batch waits; a larger N only costs memory. Refills never run a barrier. The benchmark
 // allocates and retires in a loop with a competing thread holding periodic critical
-// sections, so barriers have something to wait for.
+// sections, so grace tickets have something to wait for.
 #include <atomic>
 #include <thread>
 
@@ -19,7 +21,7 @@ namespace {
 template <std::size_t kN>
 void AllocRetireChurn(benchmark::State& state) {
   std::atomic<bool> stop{false};
-  // Background reader cycling epoch critical sections — what a refill barrier waits on.
+  // Background reader cycling epoch critical sections: what a refill's ticket waits on.
   std::thread reader([&] {
     EpochDomain::ThreadRec* rec = CurrentThreadRec(EpochDomain::Global());
     while (!stop.load(std::memory_order_relaxed)) {
@@ -30,11 +32,11 @@ void AllocRetireChurn(benchmark::State& state) {
       EpochDomain::Exit(rec);
     }
   });
-  NodePool<LNode, PoolTraits<LNode>, kN> pool;
+  NodePool<LNode, kN> pool;
   for (auto _ : state) {
     LNode* n = pool.Alloc();
     benchmark::DoNotOptimize(n);
-    pool.Retire(n);  // goes to the reclaimed pool; reusable only after a barrier
+    pool.Retire(n);  // goes to the reclaimed pool; reusable only after a grace period
   }
   stop.store(true);
   reader.join();

@@ -39,9 +39,9 @@ namespace srl {
 // can exercise the machinery in isolation.
 class EpochDomain {
  public:
-  // Static record table. Sized for the oversubscription benches (bench/abl_oversub
-  // sweeps to 1024 concurrent threads) with headroom; each record is one cache line,
-  // so the table costs kMaxThreads * 64 bytes of static storage.
+  // Static record table. Sized for the oversubscription benches with headroom
+  // (bench/abl_oversub's default sweep stops at 256 concurrent threads); each record
+  // is one cache line, so the table costs kMaxThreads * 64 bytes of static storage.
   static constexpr std::size_t kMaxThreads = 2048;
 
   // Per-thread epoch record. Obtained once per thread (cached in a ThreadSlot by
@@ -181,14 +181,6 @@ class EpochDomain {
       }
       entries_.resize(keep);
       return entries_.empty();
-    }
-
-    // Folds `other` in: this ticket then elapses only once both tickets' sections
-    // have exited (conservative union — used to coalesce deferred batches so a
-    // backlog can stay bounded in count without ever blocking).
-    void Merge(GraceTicket&& other) {
-      entries_.insert(entries_.end(), other.entries_.begin(), other.entries_.end());
-      other.entries_.clear();
     }
 
    private:

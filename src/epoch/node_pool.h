@@ -4,10 +4,10 @@
 //   * `active`    — nodes ready to be handed out for new range acquisitions;
 //   * `reclaimed` — nodes this thread unlinked from some lock's list but that may still be
 //                   referenced by concurrent traversals.
-// When the active pool runs dry the thread takes a grace *snapshot*
-// (EpochDomain::GraceTicket): if no critical section is in flight the reclaimed pool is
+// When the active pool runs dry the thread hands the reclaimed pool to its
+// GraceBatches core: if no critical section is in flight the reclaimed pool is
 // provably unreachable and swaps in immediately (the paper's barrier-and-swap, for
-// free); otherwise the reclaimed batch is parked with its snapshot and reaped by a
+// free); otherwise the reclaimed batch is parked with a grace snapshot and reaped by a
 // later refill once the snapshot has elapsed, and the pool replenishes from the system
 // allocator in the meantime. Refill therefore NEVER blocks or yields — essential since
 // epoch-per-quantum readers (EpochQuantumGuard) park their epochs odd across whole
@@ -39,31 +39,23 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <utility>
-#include <vector>
 
 #include "src/epoch/epoch_domain.h"
+#include "src/epoch/grace_batches.h"
 #include "src/sync/topology.h"
 
 namespace srl {
 
-// T must provide `T* pool_next` usable while the node is free. (LNode aliases this onto
-// its atomic next field; see src/core/lnode.h.)
-template <typename T>
-struct PoolTraits {
-  static void SetNext(T* node, T* next) { node->pool_next = next; }
-  static T* GetNext(T* node) { return node->pool_next; }
-};
-
+// T must provide a `T* pool_next` field for the pool's free lists. It must be distinct
+// from any link a concurrent traversal follows: LNode keeps it apart from its atomic
+// `next`, which stays frozen after the unlink (see src/core/lnode.h).
+//
 // kTarget is the paper's N (128 by default; templated so the pool-size ablation bench
 // can sweep it).
-template <typename T, typename Traits = PoolTraits<T>, std::size_t kTarget = 128>
+template <typename T, std::size_t kTarget = 128>
 class NodePool {
  public:
   static constexpr std::size_t kTargetSize = kTarget;
-  // Parked-batch bound: beyond this, refills stop parking and Alloc falls back to
-  // fresh allocation until grace elapses somewhere.
-  static constexpr std::size_t kMaxParkedBatches = 8;
   // Inventory-ratchet bound: the learned target never exceeds this many batches, so a
   // pathological reader parked in a critical section cannot grow the pool without
   // limit.
@@ -95,9 +87,7 @@ class NodePool {
     EpochDomain::Global().Barrier(rec_);
     FreeAll(&active_);
     FreeAll(&reclaimed_);
-    for (Parked& p : parked_) {
-      FreeAll(&p.nodes);
-    }
+    parked_.DrainAll([](List& nodes) { FreeAll(&nodes); });
   }
 
   NodePool(const NodePool&) = delete;
@@ -127,13 +117,11 @@ class NodePool {
 
   std::size_t ActiveSize() const { return active_.size; }
   std::size_t ReclaimedSize() const { return reclaimed_.size; }
-  std::size_t ParkedBatches() const { return parked_.size(); }
+  std::size_t ParkedBatches() const { return parked_.Size(); }
   // Nodes waiting out a grace period in parked batches.
   std::size_t ParkedSize() const {
     std::size_t n = 0;
-    for (const Parked& p : parked_) {
-      n += p.nodes.size;
-    }
+    parked_.ForEach([&n](const List& nodes) { n += nodes.size; });
     return n;
   }
   // Monotonic counts of nodes this pool took from (Replenish) and gave back to (Trim)
@@ -158,18 +146,13 @@ class NodePool {
     std::size_t size = 0;
   };
 
-  struct Parked {
-    List nodes;
-    EpochDomain::GraceTicket ticket;
-  };
-
   // Moves every node of `src` onto `dst` in O(1) — refills splice whole batches on
   // the allocation hot path.
   static void Splice(List* dst, List* src) {
     if (src->head == nullptr) {
       return;
     }
-    Traits::SetNext(src->tail, dst->head);
+    src->tail->pool_next = dst->head;
     if (dst->head == nullptr) {
       dst->tail = src->tail;
     }
@@ -179,7 +162,7 @@ class NodePool {
   }
 
   static void Push(List* list, T* node) {
-    Traits::SetNext(node, list->head);
+    node->pool_next = list->head;
     if (list->head == nullptr) {
       list->tail = node;
     }
@@ -189,7 +172,7 @@ class NodePool {
 
   static T* Pop(List* list) {
     T* node = list->head;
-    list->head = Traits::GetNext(node);
+    list->head = node->pool_next;
     if (list->head == nullptr) {
       list->tail = nullptr;
     }
@@ -199,37 +182,32 @@ class NodePool {
 
   // Refill never blocks, yields, or runs a barrier, so it is safe from any context,
   // scoped epoch critical sections included (a range acquisition made from within a
-  // skip-list operation allocates here with depth > 0).
-  void Refill() {
+  // skip-list operation allocates here with depth > 0). Kept out of line, like
+  // AssignCounterSlot(): it runs once per batch of allocations, and GCC inlining it
+  // into the lock acquisition paths made kv-paged's median op 18% slower (4-core host).
+  [[gnu::noinline]] void Refill() {
     // First reap: any parked batch whose grace has elapsed is unreachable and becomes
     // allocatable wholesale (O(1) splice each).
-    std::erase_if(parked_, [this](Parked& p) {
-      if (!p.ticket.Elapsed()) {
-        return false;
-      }
-      Splice(&active_, &p.nodes);
-      return true;
-    });
+    auto to_active = [this](List& nodes) { Splice(&active_, &nodes); };
+    parked_.Reap(to_active);
 
     bool shortage = false;
     if (active_.head == nullptr && reclaimed_.head != nullptr) {
-      if (EpochDomain::Global().QuiescentNow(rec_)) {
-        // No concurrent critical sections: the classic barrier-and-swap, without the
-        // barrier (and without allocating a ticket — this is the refill fast path).
+      // A quiescent domain swaps `reclaimed` in at once — the classic barrier-and-swap,
+      // without the barrier or a ticket (the refill fast path); otherwise it parks.
+      if (!parked_.Full()) {
+        shortage = parked_.Park(rec_, reclaimed_, to_active);
+      } else if (EpochDomain::Global().QuiescentNow(rec_)) {
+        // A full backlog still takes the free swap. Otherwise `reclaimed` keeps
+        // accumulating until a later refill has reaped a batch.
         Splice(&active_, &reclaimed_);
-      } else if (parked_.size() < kMaxParkedBatches) {
-        parked_.push_back({reclaimed_, EpochDomain::Global().Snapshot(rec_)});
-        reclaimed_ = List{};
-        shortage = true;
-        // Shortage: demand outran inventory by one grace period. Ratchet the target
-        // so the replenishment below becomes standing inventory instead of being
-        // trimmed away after the reap.
-        if (target_ < kMaxInventory) {
-          target_ += kTargetSize;
-        }
       }
-      // else: keep accumulating in `reclaimed`; a later refill retries once a parked
-      // batch has been reaped.
+      // Shortage: demand outran inventory by one grace period. Ratchet the target so
+      // the replenishment below becomes standing inventory instead of being trimmed
+      // away after the reap.
+      if (shortage && target_ < kMaxInventory) {
+        target_ += kTargetSize;
+      }
     }
 
     // Ratchet decay: a reap cycle that neither parked nor has a batch in flight is
@@ -238,7 +216,7 @@ class NodePool {
     // below reclaim inventory a past storm stranded.
     if (shortage) {
       quiet_refills_ = 0;
-    } else if (parked_.empty() && target_ > kTargetSize &&
+    } else if (parked_.Empty() && target_ > kTargetSize &&
                ++quiet_refills_ >= DecayQuietRefills()) {
       --quiet_refills_;  // hold at the threshold: one batch per further quiet refill
       target_ -= kTargetSize;
@@ -246,7 +224,7 @@ class NodePool {
 
     if (active_.size < target_ / 2) {
       Replenish(target_ - active_.size);
-    } else if (active_.size > 2 * target_ && parked_.empty()) {
+    } else if (active_.size > 2 * target_ && parked_.Empty()) {
       // Trim only down to the learned floor, and only with no batch in flight: while
       // grace is pending, the excess IS the inventory that keeps the next park from
       // forcing a malloc burst.
@@ -277,7 +255,7 @@ class NodePool {
   EpochDomain::ThreadRec* rec_;
   List active_;
   List reclaimed_;
-  std::vector<Parked> parked_;
+  GraceBatches<List> parked_;
   // Learned inventory floor: kTargetSize until the first shortage, ratcheted up one
   // batch per park, decayed one batch per quiet reap cycle after a quiet run-up,
   // never above kMaxInventory. See the header comment.

@@ -1,129 +1,154 @@
-// Generic epoch-deferred deletion for heterogeneous objects (skip-list nodes, VMAs).
+// Epoch-deferred deletion for heterogeneous objects (skip-list nodes, VMAs).
 //
 // Unlike NodePool (which recycles fixed-type lock nodes), RetireList frees arbitrary
-// objects once a grace period has elapsed. Retired objects accumulate in a thread-local
-// buffer; when the buffer reaches FlushThreshold() the thread *parks* the batch together
-// with a grace snapshot (EpochDomain::GraceTicket) and frees it on a later call once the
-// snapshot has elapsed — reclamation never waits.
+// objects once a grace period has elapsed. Retired objects accumulate in a pending
+// buffer; once it reaches FlushThreshold(), MaybeFlush hands it to a GraceBatches core,
+// which frees it at once when no critical section is in flight or parks it with a
+// grace snapshot for a later MaybeFlush to reap — reclamation does not wait.
 //
-// The non-blocking shape matters because of epoch-per-quantum readers
-// (EpochQuantumGuard): a fault-heavy thread keeps its epoch odd across whole batches of
-// operations, so a blocking barrier at every flush point would cost the retiring thread
-// a full scheduler round per flush (measured as a ~6-10x munmap-throughput collapse on
-// one core). Parking costs one snapshot; the memory simply stays alive a little longer
-// — bounded by the readers' forced quantum refresh. A blocking Flush() remains for
-// destruction and for the parked-batch backstop.
+// One list serves two kinds of owner. RetireList::Local() is a thread's own list (the
+// skip lists). A VmaStripe owns one shared by the stripe's structural writers: any
+// writer of the stripe may unlink VMAs and any later writer may reap them, so retired
+// memory belongs to the stripe, not to whichever thread ran the munmap. A small spin
+// lock guards the list so reapers need not hold the stripe's tree lock; it is
+// uncontended for a thread's own list and nearly so for a stripe, whose mutation lock
+// already serializes the producers.
+//
+// The backlog is bounded in memory, not only in bookkeeping: a stripe's unmap rate is
+// high enough that one section outliving a few grace windows (a reader whose CPU was
+// taken away mid-quantum) would grow the backlog by megabytes. Once MaxParkedBatches()
+// batches are still parked after a reap, MaybeFlush stops parking and waits a grace
+// period out (Flush), so a list never holds more than MaxParkedBatches() + 1 flush
+// thresholds of retired objects. Healthy quantum readers elapse a ticket within one
+// flush interval, so the wait runs only while some section is stalled — and Barrier's
+// watchdog evicts an idle quantum, so it cannot wait forever.
+//
+// Lock ordering: Retire() may be called while holding locks or ranges (a stripe's
+// tree mutation lock, typically; the list lock nests inside it). MaybeFlush()/Flush()
+// must be called holding no locks or ranges. Objects are freed outside the list lock.
 #ifndef SRL_EPOCH_RETIRE_LIST_H_
 #define SRL_EPOCH_RETIRE_LIST_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
-#include <utility>
+#include <mutex>
 #include <vector>
 
 #include "src/epoch/epoch_domain.h"
+#include "src/epoch/grace_batches.h"
+#include "src/sync/spin_lock.h"
 #include "src/sync/topology.h"
 
 namespace srl {
 
 class RetireList {
  public:
-  // Per-thread batch size before MaybeFlush parks, derived from the core count at
-  // first use (the old constexpr 256 was guessed on a one-core container — ROADMAP
-  // PR-5 carryover). The buffer is thread-local, so total deferred memory scales with
-  // the thread count; shrinking the per-thread batch as cores grow keeps the
-  // aggregate roughly constant and keeps grace snapshots short on busy machines:
-  // 1024 / cores, clamped to [64, 256]. CpuCount() == 1 reproduces the old 256
-  // exactly. epoch_test asserts this derivation.
+  // Pending-count threshold before MaybeFlush parks a batch, derived from the core
+  // count at first use (the old constexpr 256 was guessed on a one-core container).
+  // Every thread's own list holds up to a batch, so total deferred memory scales with
+  // the thread count; shrinking the batch as cores grow keeps the aggregate roughly
+  // constant and keeps grace snapshots short on busy machines: 1024 / cores, clamped
+  // to [64, 256]. CpuCount() == 1 reproduces the old 256 exactly. epoch_test asserts
+  // this derivation.
   static std::size_t FlushThreshold() {
     static const std::size_t v = std::clamp<std::size_t>(1024 / CpuCount(), 64, 256);
     return v;
   }
-  // At most this many separately-ticketed parked batches; beyond it, new batches
-  // coalesce into the newest parked batch (ticket union). This bounds bookkeeping,
-  // NOT memory: a live thread that idles forever inside an open epoch quantum pins
-  // every later retirement until it quiesces or exits — the deliberate
-  // memory-over-blocking policy (kernel RCU makes the same call). MaybeFlush never
-  // waits; only Flush() (destruction) runs a blocking barrier. Sized so coalescing
-  // essentially never happens against healthy quantum readers, whose tickets elapse
-  // within one scheduler round — and scaled with the core count, because each running
-  // core can hold one quantum open and stretch one more ticket past its grace window:
-  // 16 * cores, clamped to [64, 512] (== the old 64 up to four cores). epoch_test
-  // asserts this derivation too.
-  static std::size_t MaxParkedBatches() {
-    static const std::size_t v = std::clamp<std::size_t>(16 * CpuCount(), 64, 512);
-    return v;
-  }
+  // Memory bound on the parked backlog, in batches: reaching it makes MaybeFlush wait
+  // a grace period out instead of parking another batch (see the header comment).
+  static constexpr std::size_t MaxParkedBatches() { return Batches::kMaxBatches; }
 
-  RetireList() : rec_(CurrentThreadRec(EpochDomain::Global())) {}
-
+  RetireList() = default;
   ~RetireList() { Flush(); }
 
   RetireList(const RetireList&) = delete;
   RetireList& operator=(const RetireList&) = delete;
 
   // Defers `delete static_cast<T*>(obj)` until after a grace period. Must be called by
-  // the thread that made the object unreachable, after unlinking it. Never flushes
-  // inline: Retire() may legally be called while the thread holds locks or ranges, and a
-  // barrier at that point could deadlock with threads waiting on those ranges. Callers
-  // invoke MaybeFlush() at a quiescent point (holding nothing) instead.
+  // the thread that made the object unreachable, after unlinking it. Never frees
+  // inline (see the lock-ordering note above).
   template <typename T>
   void Retire(T* obj) {
-    pending_.push_back({obj, [](void* p) { delete static_cast<T*>(p); }});
+    RetireCustom(obj, [](void* p) { delete static_cast<T*>(p); });
   }
 
   // As above, for objects with bespoke deallocation (e.g. variable-height skip-list
   // nodes created with raw operator new).
   void RetireCustom(void* obj, void (*deleter)(void*)) {
+    std::lock_guard<SpinLock> g(lock_);
     pending_.push_back({obj, deleter});
+    pending_count_.store(pending_.size(), std::memory_order_relaxed);
   }
 
-  // Parks the current batch once it is large, reaping previously parked batches whose
-  // grace period has elapsed. Never blocks, and free for the (FlushThreshold() - 1 of
-  // every FlushThreshold()) calls below the threshold — this runs after every munmap,
-  // so the ticket polling must stay off that path. Call at operation boundaries,
-  // while holding no locks or ranges and outside any scoped epoch critical section
-  // (EpochGuard); an open epoch-per-quantum section on the calling thread is fine —
-  // the grace snapshot skips the caller's own record.
+  // Parks the pending batch once it is large and reaps parked batches whose grace has
+  // elapsed; free below the threshold (one relaxed load — this runs after every
+  // munmap). Blocks (Flush) only when MaxParkedBatches() batches are still parked
+  // after the reap. Call at operation boundaries holding no locks or ranges and
+  // outside any scoped epoch critical section (an open epoch-per-quantum section on
+  // the calling thread is fine — between guards the caller holds no references, the
+  // grace snapshot skips its record, and Flush closes it before its barrier).
   void MaybeFlush() {
-    if (pending_.size() < FlushThreshold()) {
+    if (pending_count_.load(std::memory_order_relaxed) < FlushThreshold()) {
       return;
     }
-    Reap();
-    Park();
+    EpochDomain::ThreadRec* rec = CurrentThreadRec(EpochDomain::Global());
+    std::vector<Pending> to_free;
+    auto take = [&to_free](std::vector<Pending>& objs) { Take(&to_free, objs); };
+    bool full = false;
+    {
+      std::lock_guard<SpinLock> g(lock_);
+      parked_.Reap(take);
+      full = parked_.Full();
+      if (!full && !pending_.empty()) {
+        parked_.Park(rec, pending_, take);
+        pending_count_.store(0, std::memory_order_relaxed);
+      }
+    }
+    FreeAll(to_free);
+    if (full) {
+      Flush();
+    }
   }
 
-  // Blocking drain: runs a full barrier and frees everything retired so far, parked
-  // batches included. Destruction-only by design — it can wait on another thread's
-  // idle open quantum (see kMaxParkedBatches). Must not be called from inside a
-  // scoped epoch critical section; the caller's own open quantum is closed here (a
-  // barrier only skips *self*, so two threads barriering with open quanta would
-  // deadlock on each other's idle epochs).
+  // Blocking drain: a full barrier, then everything retired so far is freed. Runs at
+  // destruction and when MaybeFlush finds the parked backlog full; it can wait on
+  // another thread's stalled section, or on an idle open quantum until Barrier's
+  // watchdog evicts it. Must not be called from inside a scoped epoch critical
+  // section; the caller's own open quantum is closed here (a barrier only skips
+  // *self*, so two threads barriering with open quanta would deadlock on each other's
+  // idle epochs).
   void Flush() {
-    if (pending_.empty() && parked_.empty()) {
+    std::vector<Pending> to_free;
+    {
+      std::lock_guard<SpinLock> g(lock_);
+      parked_.DrainAll([&to_free](std::vector<Pending>& objs) { Take(&to_free, objs); });
+      Take(&to_free, pending_);
+      pending_count_.store(0, std::memory_order_relaxed);
+    }
+    if (to_free.empty()) {
       return;
     }
-    EpochDomain::QuiesceQuantum(rec_);
-    EpochDomain::Global().Barrier(rec_);
-    for (Batch& batch : parked_) {
-      FreeAll(batch.objs);
-    }
-    parked_.clear();
-    FreeAll(pending_);
-    pending_.clear();
+    EpochDomain::ThreadRec* rec = CurrentThreadRec(EpochDomain::Global());
+    EpochDomain::QuiesceQuantum(rec);
+    EpochDomain::Global().Barrier(rec);
+    FreeAll(to_free);
   }
 
-  // Objects retired and not yet freed (buffered + parked).
+  // Objects retired and not yet freed (buffered + parked) — racy, for tests.
   std::size_t PendingCount() const {
+    std::lock_guard<SpinLock> g(lock_);
     std::size_t n = pending_.size();
-    for (const Batch& batch : parked_) {
-      n += batch.objs.size();
-    }
+    parked_.ForEach([&n](const std::vector<Pending>& objs) { n += objs.size(); });
     return n;
   }
 
-  // The calling thread's retire list.
+  // The calling thread's retire list. The thread's epoch record is bound first:
+  // thread_locals are destroyed in reverse order of construction, so the record's slot
+  // outlives the list, whose destructor's Flush looks the record up.
   static RetireList& Local() {
+    [[maybe_unused]] thread_local EpochDomain::ThreadRec* const rec =
+        CurrentThreadRec(EpochDomain::Global());
     thread_local RetireList list;
     return list;
   }
@@ -133,54 +158,24 @@ class RetireList {
     void* obj;
     void (*deleter)(void*);
   };
+  using Batches = GraceBatches<std::vector<Pending>>;
 
-  struct Batch {
-    std::vector<Pending> objs;
-    EpochDomain::GraceTicket ticket;
-  };
-
-  void Park() {
-    if (EpochDomain::Global().QuiescentNow(rec_)) {
-      // No concurrent critical sections: the grace period is already over, no ticket
-      // needed.
-      FreeAll(pending_);
-      pending_.clear();
-      return;
-    }
-    EpochDomain::GraceTicket ticket = EpochDomain::Global().Snapshot(rec_);
-    if (parked_.size() >= MaxParkedBatches()) {
-      // Bookkeeping bound reached (some section is outliving many grace windows):
-      // coalesce into the newest batch instead of blocking. The union ticket frees
-      // both batches once both snapshots have elapsed — strictly conservative.
-      Batch& newest = parked_.back();
-      newest.objs.insert(newest.objs.end(), pending_.begin(), pending_.end());
-      newest.ticket.Merge(std::move(ticket));
-    } else {
-      parked_.push_back({std::move(pending_), std::move(ticket)});
-    }
-    pending_.clear();
-  }
-
-  void Reap() {
-    std::erase_if(parked_, [](Batch& batch) {
-      if (!batch.ticket.Elapsed()) {
-        return false;
-      }
-      FreeAll(batch.objs);
-      return true;
-    });
-  }
-
-  static void FreeAll(std::vector<Pending>& objs) {
-    for (const Pending& p : objs) {
-      p.deleter(p.obj);
-    }
+  // Moves `objs` onto *out for freeing outside the lock.
+  static void Take(std::vector<Pending>* out, std::vector<Pending>& objs) {
+    out->insert(out->end(), objs.begin(), objs.end());
     objs.clear();
   }
 
-  EpochDomain::ThreadRec* rec_;
+  static void FreeAll(const std::vector<Pending>& objs) {
+    for (const Pending& p : objs) {
+      p.deleter(p.obj);
+    }
+  }
+
+  mutable SpinLock lock_;
+  std::atomic<std::size_t> pending_count_{0};
   std::vector<Pending> pending_;
-  std::vector<Batch> parked_;
+  Batches parked_;
 };
 
 }  // namespace srl

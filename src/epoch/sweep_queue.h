@@ -7,10 +7,10 @@
 // a structural op's critical section stops growing with the size of the region it
 // unmaps — the collapse shape the paper's motivation warns about on saturated locks.
 //
-// Like SharedRetireList, a SweepQueue is owned by one VMA-index stripe and protected by
-// its own small spin lock; producers are the stripe's structural writers plus
-// MADV_DONTNEED callers, consumers are whichever threads hit the flush threshold at an
-// operation boundary. Unlike the retire list it holds plain page-index ranges, not
+// Like the stripe's RetireList, a SweepQueue is owned by one VMA-index stripe and
+// protected by its own small spin lock; producers are the stripe's structural writers
+// plus MADV_DONTNEED callers, consumers are whichever threads hit the flush threshold
+// at an operation boundary. Unlike the retire list it holds plain page-index ranges, not
 // pointers, so flushing needs no grace period of its own — the ordering that keeps the
 // drain sound is the stripe seqcount fence (see README "Deferred page sweeps"): every
 // enqueue happens after the structural seqcount bump that detached the range (or, for

@@ -47,7 +47,7 @@
 // "Striped address spaces" for the restated ordering argument.
 //
 // Lifetime of VMA records: epoch-based reclamation. An unlinked VMA is retired into
-// its stripe's SharedRetireList and freed only after a grace period, so optimistic
+// its stripe's RetireList and freed only after a grace period, so optimistic
 // walkers and the speculative-mprotect window (Listing 4 line 15 reads vma->start with
 // no lock held) never dereference freed memory.
 #ifndef SRL_VM_ADDRESS_SPACE_H_

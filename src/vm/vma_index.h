@@ -33,15 +33,15 @@
 // stripe's structural mutators, the seqcount (SeqCounter's seqlock interface) brackets
 // every mutation for optimistic walkers and §5.2 speculation validators, walks are
 // step-bounded so an in-flight rotation's transient cycle becomes a retry instead of a
-// hang, and erased VMAs retire into the stripe's SharedRetireList and are freed only
-// after an epoch grace period.
+// hang, and erased VMAs retire into the stripe's RetireList and are freed only after
+// an epoch grace period.
 #ifndef SRL_VM_VMA_INDEX_H_
 #define SRL_VM_VMA_INDEX_H_
 
 #include <cstdint>
 #include <memory>
 
-#include "src/epoch/shared_retire_list.h"
+#include "src/epoch/retire_list.h"
 #include "src/rbtree/rb_tree.h"
 #include "src/sync/cacheline.h"
 #include "src/sync/seq_counter.h"
@@ -143,7 +143,7 @@ class VmaStripe {
   RbTree<Vma, VmaTraits> tree_;
   SpinLock mutex_;           // serializes this stripe's structural mutators
   SeqCounter seq_;           // odd while a mutation of this stripe is in flight
-  SharedRetireList retire_;  // the stripe's reclamation domain for unlinked VMAs
+  RetireList retire_;        // the stripe's reclamation domain for unlinked VMAs
 };
 
 // The stripe table plus the address routing that makes it one logical index.

@@ -12,7 +12,6 @@
 #include "src/epoch/epoch_domain.h"
 #include "src/epoch/node_pool.h"
 #include "src/epoch/retire_list.h"
-#include "src/epoch/shared_retire_list.h"
 #include "src/skiplist/range_lock_skiplist.h"
 #include "tests/common/test_clock.h"
 
@@ -618,56 +617,90 @@ TEST(RetireListTest, MaybeFlushHonoursThreshold) {
   EXPECT_EQ(CountedObj::live.load(), 0);
 }
 
-// A stalled section must not grow a stripe's retire backlog with the unmap rate. One
-// thread idles with its quantum open, so no grace ticket can elapse, while this thread
-// retires four times the backlog bound. MaybeFlush must stop parking at
-// MaxParkedBatches() and wait the section out (Barrier's watchdog evicts the idle
-// quantum), so the backlog never exceeds MaxParkedBatches() + 1 flush thresholds.
-TEST(SharedRetireListTest, StalledSectionCannotGrowTheBacklogPastTheBound) {
-  EpochDomain& domain = EpochDomain::Global();
-  domain.SetForceQuiesceAfter(5ms);
-  std::atomic<bool> parked{false};
-  std::atomic<bool> resume{false};
-  std::thread holder([&] {
-    { EpochQuantumGuard g(domain); }  // quantum left open, thread goes idle
-    parked.store(true);
-    while (!resume.load()) {
+// One thread idles with its quantum open, so no grace ticket can elapse until a
+// Barrier's watchdog (5 ms here) evicts the idle quantum.
+class StalledQuantum {
+ public:
+  StalledQuantum() {
+    EpochDomain::Global().SetForceQuiesceAfter(5ms);
+    holder_ = std::thread([this] {
+      { EpochQuantumGuard g(EpochDomain::Global()); }  // quantum left open, thread idles
+      parked_.store(true);
+      while (!resume_.load()) {
+        std::this_thread::yield();
+      }
+      EpochQuantumQuiesce();
+    });
+    while (!parked_.load()) {
       std::this_thread::yield();
     }
-    EpochQuantumQuiesce(domain);
-  });
-  while (!parked.load()) {
-    std::this_thread::yield();
   }
-  const std::size_t threshold = SharedRetireList::DefaultFlushThreshold();
-  const std::size_t bound = (SharedRetireList::MaxParkedBatches() + 1) * threshold;
+  ~StalledQuantum() {
+    resume_.store(true);
+    holder_.join();
+    EpochDomain::Global().SetForceQuiesceAfter(EpochDomain::DefaultForceQuiesceAfter());
+  }
+
+ private:
+  std::atomic<bool> parked_{false};
+  std::atomic<bool> resume_{false};
+  std::thread holder_;
+};
+
+// A list's backlog bound: MaybeFlush stops parking at MaxParkedBatches() and waits the
+// section out, so at most MaxParkedBatches() + 1 flush thresholds stay pending.
+std::size_t BacklogBound() {
+  return (RetireList::MaxParkedBatches() + 1) * RetireList::FlushThreshold();
+}
+
+// Retires four times the backlog bound into `list`, flushing after each retire, and
+// returns the peak backlog.
+std::size_t PeakBacklogOfFourBounds(RetireList& list) {
+  std::size_t peak = 0;
+  for (std::size_t i = 0; i < 4 * BacklogBound(); ++i) {
+    list.Retire(new CountedObj());
+    list.MaybeFlush();
+    peak = std::max(peak, list.PendingCount());
+  }
+  return peak;
+}
+
+// A stalled section must not grow a stripe's retire backlog with the unmap rate: a
+// list owned by a structure, as a VmaStripe's is, stays within the bound.
+TEST(SharedRetireListTest, StalledSectionCannotGrowTheBacklogPastTheBound) {
   std::size_t peak = 0;
   {
-    SharedRetireList list;
-    for (std::size_t i = 0; i < 4 * bound; ++i) {
-      list.Retire(new CountedObj());
-      list.MaybeFlush();
-      peak = std::max(peak, list.PendingCount());
-    }
-    resume.store(true);
-    holder.join();
+    StalledQuantum stall;
+    RetireList list;
+    peak = PeakBacklogOfFourBounds(list);
   }
-  domain.SetForceQuiesceAfter(EpochDomain::DefaultForceQuiesceAfter());
-  EXPECT_LE(peak, bound) << "the backlog grew while a section stalled";
+  EXPECT_LE(peak, BacklogBound()) << "the backlog grew while a section stalled";
+  EXPECT_EQ(CountedObj::live.load(), 0);
+}
+
+// The same bound holds for a thread's own list (RetireList::Local(), the skip lists'):
+// it must wait the section out rather than park or coalesce batches past the cap.
+TEST(RetireListTest, StalledSectionCannotGrowTheLocalBacklog) {
+  std::size_t peak = 0;
+  {
+    StalledQuantum stall;
+    // A fresh thread, so its Local() list starts empty and is flushed at thread exit.
+    std::thread worker([&peak] { peak = PeakBacklogOfFourBounds(RetireList::Local()); });
+    worker.join();
+  }
+  EXPECT_LE(peak, BacklogBound())
+      << "the thread-local backlog grew while a section stalled";
   EXPECT_EQ(CountedObj::live.load(), 0);
 }
 
 // The reclamation constants are derived from the machine's core count at first use
 // (the original constexpr values were guessed on a one-core container). Assert the
 // exact derivations so a refactor cannot silently change the policy, and that one
-// core reproduces the historical constants (256 / 64 / 8 / 250ms) bit-for-bit.
+// core reproduces the historical constants (256 / 8 / 250ms) bit-for-bit.
 TEST(ReclamationDerivationTest, ConstantsFollowCoreCount) {
   const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
   EXPECT_EQ(RetireList::FlushThreshold(), std::clamp<std::size_t>(1024 / hw, 64, 256));
-  EXPECT_EQ(RetireList::MaxParkedBatches(),
-            std::clamp<std::size_t>(16 * hw, 64, 512));
-  EXPECT_EQ(SharedRetireList::DefaultFlushThreshold(), RetireList::FlushThreshold());
-  EXPECT_EQ(SharedRetireList::MaxParkedBatches(), 8u);  // a memory bound, not derived
+  EXPECT_EQ(RetireList::MaxParkedBatches(), 8u);  // a memory bound, not derived
   EXPECT_EQ((NodePool<LNode>::DecayQuietRefills()), std::max<std::size_t>(8, hw));
   const std::chrono::nanoseconds quiesce = EpochDomain::DefaultForceQuiesceAfter();
   EXPECT_EQ(quiesce, std::max(std::chrono::nanoseconds(std::chrono::milliseconds(50)),
@@ -675,7 +708,6 @@ TEST(ReclamationDerivationTest, ConstantsFollowCoreCount) {
                                   static_cast<unsigned>(hw)));
   if (hw == 1) {
     EXPECT_EQ(RetireList::FlushThreshold(), 256u);
-    EXPECT_EQ(RetireList::MaxParkedBatches(), 64u);
     EXPECT_EQ((NodePool<LNode>::DecayQuietRefills()), 8u);
     EXPECT_EQ(quiesce, std::chrono::nanoseconds(std::chrono::milliseconds(250)));
   }
