@@ -38,7 +38,7 @@ BENCHMARK(BM_ListExFastPath);
 void BM_ListRwRegularPathWrite(benchmark::State& state) {
   ListRwRangeLock lock;
   for (auto _ : state) {
-    auto h = lock.LockWrite(kRange);
+    auto h = lock.Lock(kRange);
     lock.Unlock(h);
   }
 }
@@ -47,7 +47,7 @@ BENCHMARK(BM_ListRwRegularPathWrite);
 void BM_ListRwFastPathWrite(benchmark::State& state) {
   ListRwRangeLock lock(ListRwRangeLock::Options{.enable_fast_path = true});
   for (auto _ : state) {
-    auto h = lock.LockWrite(kRange);
+    auto h = lock.Lock(kRange);
     lock.Unlock(h);
   }
 }
@@ -56,14 +56,14 @@ BENCHMARK(BM_ListRwFastPathWrite);
 void BM_ListRwFastPathRead(benchmark::State& state) {
   ListRwRangeLock lock(ListRwRangeLock::Options{.enable_fast_path = true});
   for (auto _ : state) {
-    auto h = lock.LockRead(kRange);
+    auto h = lock.Lock(kRange, LockMode::kRead);
     lock.Unlock(h);
   }
 }
 BENCHMARK(BM_ListRwFastPathRead);
 
 void BM_FairListEx(benchmark::State& state) {
-  FairListRangeLock lock;
+  FairRangeLock<ListRangeLock> lock;
   for (auto _ : state) {
     auto h = lock.Lock(kRange);
     lock.Unlock(h);
@@ -74,8 +74,8 @@ BENCHMARK(BM_FairListEx);
 void BM_TreeLock(benchmark::State& state) {
   TreeRangeLock lock;
   for (auto _ : state) {
-    auto h = lock.AcquireWrite(kRange);
-    lock.Release(h);
+    auto h = lock.Lock(kRange);
+    lock.Unlock(h);
   }
 }
 BENCHMARK(BM_TreeLock);
@@ -83,8 +83,8 @@ BENCHMARK(BM_TreeLock);
 void BM_SegmentLockNarrow(benchmark::State& state) {
   SegmentRangeLock lock(1 << 20, 256);
   for (auto _ : state) {
-    auto h = lock.AcquireWrite(kRange);  // one segment
-    lock.Release(h);
+    auto h = lock.Lock(kRange);  // one segment
+    lock.Unlock(h);
   }
 }
 BENCHMARK(BM_SegmentLockNarrow);
@@ -92,8 +92,8 @@ BENCHMARK(BM_SegmentLockNarrow);
 void BM_SegmentLockFullRange(benchmark::State& state) {
   SegmentRangeLock lock(1 << 20, 256);
   for (auto _ : state) {
-    auto h = lock.AcquireWrite(Range::Full());  // all 256 segments
-    lock.Release(h);
+    auto h = lock.Lock(Range::Full());  // all 256 segments
+    lock.Unlock(h);
   }
 }
 BENCHMARK(BM_SegmentLockFullRange);

@@ -17,11 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "src/baselines/tree_range_lock.h"
-#include "src/core/list_lockfree_range_lock.h"
-#include "src/core/list_range_lock.h"
-#include "src/core/skiplist_range_lock.h"
 #include "src/harness/cli.h"
+#include "src/harness/lock_adapters.h"
 #include "src/harness/table.h"
 #include "src/harness/throughput_runner.h"
 
@@ -32,58 +29,23 @@ namespace {
 // last of them, which is the worst case for a sorted-by-start linear search.
 constexpr uint64_t kStride = 16;
 
-struct ListEx {
-  static const char* Name() { return "list-ex"; }
-  ListRangeLock lock;
-  auto Acquire(const Range& r) { return lock.Lock(r); }
-  template <typename H>
-  void Release(H h) {
-    lock.Unlock(h);
-  }
-};
-
-struct ListLf {
+// list-lf in the VM backend's geometry; the other series run the shared presets of
+// src/harness/lock_adapters.h.
+struct ListLf : ListLockFreeRangeLock {
   static const char* Name() { return "list-lf"; }
-  ListLockFreeRangeLock lock{
-      ListLockFreeRangeLock::Options{.buckets = 64, .window_shift = 16}};
-  auto Acquire(const Range& r) { return lock.Lock(r); }
-  template <typename H>
-  void Release(H h) {
-    lock.Unlock(h);
-  }
-};
-
-struct LustreEx {
-  static const char* Name() { return "lustre-ex"; }
-  TreeRangeLock lock;
-  auto Acquire(const Range& r) { return lock.AcquireWrite(r); }
-  template <typename H>
-  void Release(H h) {
-    lock.Release(h);
-  }
-};
-
-struct SkiplistIndexed {
-  static const char* Name() { return "skiplist-indexed"; }
-  SkiplistRangeLock lock;
-  auto Acquire(const Range& r) { return lock.Lock(r); }
-  template <typename H>
-  void Release(H h) {
-    lock.Unlock(h);
-  }
+  ListLf() : ListLockFreeRangeLock(Options{.buckets = 64, .window_shift = 16}) {}
 };
 
 template <typename LockT>
 Summary RunOne(int held, double secs, int repeats) {
   return MeasureThroughputRepeated(
       1, secs, repeats, [&](int, std::atomic<bool>& stop) {
-        LockT adapter;
-        using Handle = decltype(adapter.Acquire(Range{0, 1}));
-        std::vector<Handle> handles;
+        LockT lock;
+        std::vector<typename LockT::Handle> handles;
         handles.reserve(static_cast<std::size_t>(held));
         for (int i = 0; i < held; ++i) {
           const uint64_t base = static_cast<uint64_t>(i) * kStride;
-          handles.push_back(adapter.Acquire({base, base + kStride / 2}));
+          handles.push_back(lock.Lock({base, base + kStride / 2}));
         }
         // Probe in the gap after the last held range: greater than every held start
         // (full linear scan for the list locks) yet inside the same window span, so
@@ -94,15 +56,25 @@ Summary RunOne(int held, double secs, int repeats) {
         const Range probe{probe_start, probe_start + kStride / 2};
         uint64_t ops = 0;
         while (!stop.load(std::memory_order_relaxed)) {
-          auto h = adapter.Acquire(probe);
-          adapter.Release(h);
+          auto h = lock.Lock(probe);
+          lock.Unlock(h);
           ++ops;
         }
         for (auto h : handles) {
-          adapter.Release(h);
+          lock.Unlock(h);
         }
         return ops;
       });
+}
+
+// One row per lock, in series order, at `held` held ranges.
+template <typename... Locks>
+void AddRows(Table* table, int held, double secs, int repeats) {
+  const auto add = [&](const char* name, const Summary& s) {
+    table->AddRow({name, std::to_string(held), Table::Num(s.mean, 0),
+                   Table::Num(s.RelStddevPct(), 1)});
+  };
+  (add(Locks::Name(), RunOne<Locks>(held, secs, repeats)), ...);
 }
 
 void RunPanel(const std::vector<int>& held_counts, double secs, int repeats, bool csv,
@@ -110,18 +82,15 @@ void RunPanel(const std::vector<int>& held_counts, double secs, int repeats, boo
   std::cout << "\n=== List-length ablation — probe acquire/release after K held "
                "ranges, ops/sec ===\n";
   Table table({"lock", "held", "ops/sec", "rel-stddev%"});
-  auto add = [&](const char* name, int held, const Summary& s) {
-    table.AddRow({name, std::to_string(held), Table::Num(s.mean, 0),
-                  Table::Num(s.RelStddevPct(), 1)});
-  };
   for (int held : held_counts) {
-    add(ListEx::Name(), held, RunOne<ListEx>(held, secs, repeats));
-    add(ListLf::Name(), held, RunOne<ListLf>(held, secs, repeats));
-    add(LustreEx::Name(), held, RunOne<LustreEx>(held, secs, repeats));
-    add(SkiplistIndexed::Name(), held, RunOne<SkiplistIndexed>(held, secs, repeats));
+    AddRows<ListExAdapter, ListLf, TreeExAdapter, SkiplistIndexedAdapter>(&table, held,
+                                                                          secs, repeats);
   }
   table.Print(std::cout, csv);
-  json->AddTable({{"stride", std::to_string(kStride)}}, table);
+  json->AddTable({{"stride", std::to_string(kStride)},
+                  {"repeats", std::to_string(repeats)},
+                  {"secs", Table::Num(secs, 3)}},
+                 table);
 }
 
 }  // namespace

@@ -82,9 +82,9 @@ Cell RunCell(vm::VmLockKind kind, Mix mix, int threads, double secs, int repeats
         const Range r = RangeFor(mix, tid);
         uint64_t ops = 0;
         while (!stop.load(std::memory_order_relaxed)) {
-          void* h = lock->LockWrite(r);
+          void* h = lock->Lock(r);
           shared.fetch_add(1, std::memory_order_relaxed);
-          lock->UnlockWrite(h);
+          lock->Unlock(h);
           ++ops;
         }
         return ops;

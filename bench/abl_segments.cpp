@@ -22,8 +22,8 @@ namespace {
 constexpr uint64_t kUniverse = 4096;
 constexpr uint64_t kMaxLen = 64;
 
-template <typename AcquireRead, typename AcquireWrite>
-double RunWorkload(int threads, double secs, AcquireRead&& read, AcquireWrite&& write) {
+template <typename Read, typename Write>
+double RunWorkload(int threads, double secs, Read&& read, Write&& write) {
   return MeasureThroughput(threads, secs, [&](int tid, std::atomic<bool>& stop) {
     Xoshiro256 rng(0x5e6 + static_cast<uint64_t>(tid));
     uint64_t ops = 0;
@@ -62,15 +62,16 @@ int main(int argc, char** argv) {
     srl::SegmentRangeLock lock(srl::kUniverse, segs);
     const double ops = srl::RunWorkload(
         threads, secs,
-        [&](const srl::Range& r) { lock.Release(lock.AcquireRead(r)); },
-        [&](const srl::Range& r) { lock.Release(lock.AcquireWrite(r)); });
+        [&](const srl::Range& r) { lock.Unlock(lock.Lock(r, srl::LockMode::kRead)); },
+        [&](const srl::Range& r) { lock.Unlock(lock.Lock(r)); });
     table.AddRow({"pnova-rw/" + std::to_string(segs), srl::Table::Num(ops, 0)});
   }
   {
     srl::ListRwRangeLock lock;
     const double ops = srl::RunWorkload(
-        threads, secs, [&](const srl::Range& r) { lock.Unlock(lock.LockRead(r)); },
-        [&](const srl::Range& r) { lock.Unlock(lock.LockWrite(r)); });
+        threads, secs,
+        [&](const srl::Range& r) { lock.Unlock(lock.Lock(r, srl::LockMode::kRead)); },
+        [&](const srl::Range& r) { lock.Unlock(lock.Lock(r)); });
     table.AddRow({"list-rw (reference)", srl::Table::Num(ops, 0)});
   }
   table.Print(std::cout, csv);

@@ -18,12 +18,8 @@
 #include <string>
 #include <vector>
 
-#include "src/baselines/segment_range_lock.h"
-#include "src/baselines/tree_range_lock.h"
-#include "src/core/list_lockfree_range_lock.h"
-#include "src/core/list_range_lock.h"
-#include "src/core/list_rw_range_lock.h"
 #include "src/harness/cli.h"
+#include "src/harness/lock_adapters.h"
 #include "src/harness/prng.h"
 #include "src/harness/table.h"
 #include "src/harness/throughput_runner.h"
@@ -55,85 +51,22 @@ const char* VariantName(Variant v) {
   return "?";
 }
 
-// Local adapters with ArrBench-specific construction (the generic ones in
-// src/harness/lock_adapters.h default-construct; pnova needs workload geometry here).
-struct LustreEx {
-  static constexpr bool kRw = false;
-  static const char* Name() { return "lustre-ex"; }
-  TreeRangeLock lock;
-  auto Read(const Range& r) { return lock.AcquireWrite(r); }
-  auto Write(const Range& r) { return lock.AcquireWrite(r); }
-  template <typename H>
-  void Release(H h) {
-    lock.Release(h);
-  }
-};
-
-struct KernelRw {
-  static constexpr bool kRw = true;
-  static const char* Name() { return "kernel-rw"; }
-  TreeRangeLock lock;
-  auto Read(const Range& r) { return lock.AcquireRead(r); }
-  auto Write(const Range& r) { return lock.AcquireWrite(r); }
-  template <typename H>
-  void Release(H h) {
-    lock.Release(h);
-  }
-};
-
-struct PnovaRw {
-  static constexpr bool kRw = true;
+// The two locks whose geometry is ArrBench's own; the other series run the shared
+// presets of src/harness/lock_adapters.h.
+struct PnovaRw : SegmentRangeLock {
   static const char* Name() { return "pnova-rw"; }
-  SegmentRangeLock lock{kSlots, static_cast<uint32_t>(kSlots)};  // one segment per slot
-  auto Read(const Range& r) { return lock.AcquireRead(r); }
-  auto Write(const Range& r) { return lock.AcquireWrite(r); }
-  template <typename H>
-  void Release(H h) {
-    lock.Release(h);
-  }
+  PnovaRw() : SegmentRangeLock(kSlots, static_cast<uint32_t>(kSlots)) {}  // one per slot
 };
 
-struct ListEx {
-  static constexpr bool kRw = false;
-  static const char* Name() { return "list-ex"; }
-  ListRangeLock lock;
-  auto Read(const Range& r) { return lock.Lock(r); }
-  auto Write(const Range& r) { return lock.Lock(r); }
-  template <typename H>
-  void Release(H h) {
-    lock.Unlock(h);
-  }
-};
-
-struct ListLf {
-  static constexpr bool kRw = false;
+// 64-slot windows cut the 256-slot array into 4 windows, which the bucket hash spreads
+// over 4 distinct heads of 16: disjoint per-thread slices own private heads up to 4
+// threads (every acquisition rides the per-bucket fast path), and at 8 threads only
+// pairs share a head. Finer windows would shrink 1-thread acquisitions (fewer nodes)
+// but make slices share heads sooner; this is the paper's trade-off of window size
+// against false bucket conflicts.
+struct ListLf : ListLockFreeRangeLock {
   static const char* Name() { return "list-lf"; }
-  // 64-slot windows cut the 256-slot array into 4 windows, which the bucket hash
-  // spreads over 4 distinct heads of 16: disjoint per-thread slices own private heads
-  // up to 4 threads (every acquisition rides the per-bucket fast path), and at 8
-  // threads only pairs share a head. Finer windows would shrink 1-thread acquisitions
-  // (fewer nodes) but make slices share heads sooner; this is the paper's trade-off of
-  // window size against false bucket conflicts.
-  ListLockFreeRangeLock lock{
-      ListLockFreeRangeLock::Options{.buckets = 16, .window_shift = 6}};
-  auto Read(const Range& r) { return lock.Lock(r); }
-  auto Write(const Range& r) { return lock.Lock(r); }
-  template <typename H>
-  void Release(H h) {
-    lock.Unlock(h);
-  }
-};
-
-struct ListRw {
-  static constexpr bool kRw = true;
-  static const char* Name() { return "list-rw"; }
-  ListRwRangeLock lock;
-  auto Read(const Range& r) { return lock.LockRead(r); }
-  auto Write(const Range& r) { return lock.LockWrite(r); }
-  template <typename H>
-  void Release(H h) {
-    lock.Unlock(h);
-  }
+  ListLf() : ListLockFreeRangeLock(Options{.buckets = 16, .window_shift = 6}) {}
 };
 
 // noinline on the shared loops: every RunOne<LockT> specialization must execute the
@@ -170,7 +103,7 @@ struct ListRw {
 template <typename LockT>
 Summary RunOne(Variant variant, double read_fraction, int threads, double secs,
                int repeats) {
-  LockT adapter;
+  LockT lock;
   SlotArray array(kSlots);
   return MeasureThroughputRepeated(threads, secs, repeats, [&](int tid,
                                                                std::atomic<bool>& stop) {
@@ -202,13 +135,13 @@ Summary RunOne(Variant variant, double read_fraction, int threads, double secs,
       }
       const bool is_read = rng.NextDouble() < read_fraction;
       if (is_read) {
-        auto h = adapter.Read(r);
+        auto h = lock.Lock(r, LockMode::kRead);
         sink += ReadSlots(array, r, traversals);
-        adapter.Release(h);
+        lock.Unlock(h);
       } else {
-        auto h = adapter.Write(r);
+        auto h = lock.Lock(r);
         WriteSlots(array, r, traversals);
-        adapter.Release(h);
+        lock.Unlock(h);
       }
       ++ops;
       NonCriticalWork(rng);
@@ -218,26 +151,31 @@ Summary RunOne(Variant variant, double read_fraction, int threads, double secs,
   });
 }
 
+// One row per lock, in series order, at `t` threads.
+template <typename... Locks>
+void AddRows(Table* table, Variant variant, double read_fraction, int t, double secs,
+             int repeats) {
+  const auto add = [&](const char* name, const Summary& s) {
+    table->AddRow({name, std::to_string(t), Table::Num(s.mean, 0),
+                   Table::Num(s.RelStddevPct(), 1)});
+  };
+  (add(Locks::Name(), RunOne<Locks>(variant, read_fraction, t, secs, repeats)), ...);
+}
+
 void RunPanel(Variant variant, double read_fraction, const std::vector<int>& threads,
               double secs, int repeats, bool csv, BenchJson* json) {
   std::cout << "\n=== Figure 3 (" << VariantName(variant) << " ranges, "
             << static_cast<int>(read_fraction * 100) << "% reads) — throughput, ops/sec ===\n";
   Table table({"lock", "threads", "ops/sec", "rel-stddev%"});
-  auto add = [&](const char* name, int t, const Summary& s) {
-    table.AddRow({name, std::to_string(t), Table::Num(s.mean, 0),
-                  Table::Num(s.RelStddevPct(), 1)});
-  };
   for (int t : threads) {
-    add(LustreEx::Name(), t, RunOne<LustreEx>(variant, read_fraction, t, secs, repeats));
-    add(KernelRw::Name(), t, RunOne<KernelRw>(variant, read_fraction, t, secs, repeats));
-    add(PnovaRw::Name(), t, RunOne<PnovaRw>(variant, read_fraction, t, secs, repeats));
-    add(ListEx::Name(), t, RunOne<ListEx>(variant, read_fraction, t, secs, repeats));
-    add(ListLf::Name(), t, RunOne<ListLf>(variant, read_fraction, t, secs, repeats));
-    add(ListRw::Name(), t, RunOne<ListRw>(variant, read_fraction, t, secs, repeats));
+    AddRows<TreeExAdapter, TreeRwAdapter, PnovaRw, ListExAdapter, ListLf, ListRwAdapter>(
+        &table, variant, read_fraction, t, secs, repeats);
   }
   table.Print(std::cout, csv);
   json->AddTable({{"variant", VariantName(variant)},
-                  {"read_pct", std::to_string(static_cast<int>(read_fraction * 100))}},
+                  {"read_pct", std::to_string(static_cast<int>(read_fraction * 100))},
+                  {"repeats", std::to_string(repeats)},
+                  {"secs", Table::Num(secs, 3)}},
                  table);
 }
 

@@ -60,7 +60,7 @@ int main() {
     while (as.Stats().fault_try_fallback.load() == 0) {
       std::this_thread::yield();
     }
-    as.Lock().UnlockWrite(wh);  // the blocked fault now admits
+    as.Lock().Unlock(wh);  // the blocked fault now admits
     faulter.join();
   }
   std::cout << "  faults admitted without blocking: " << as.Stats().fault_try_ok.load()

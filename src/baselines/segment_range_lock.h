@@ -18,6 +18,7 @@
 #include <memory>
 
 #include "src/core/range.h"
+#include "src/core/range_lock.h"
 #include "src/sync/cacheline.h"
 #include "src/sync/deadline.h"
 #include "src/sync/rw_spin_lock.h"
@@ -26,12 +27,13 @@ namespace srl {
 
 class SegmentRangeLock {
  public:
-  // Describes an acquisition; returned by Acquire*, consumed by Release.
+  // Describes an acquisition; returned by Lock, consumed by Unlock.
   struct Handle {
     uint32_t first_seg = 0;
     uint32_t last_seg = 0;  // inclusive
     bool reader = false;
   };
+  static constexpr bool kSharedReaders = true;
 
   // Covers addresses [0, universe_end) with `num_segments` equal segments. Addresses at
   // or beyond universe_end (e.g. Range::Full()'s tail) clamp to the last segment.
@@ -45,33 +47,33 @@ class SegmentRangeLock {
   SegmentRangeLock(const SegmentRangeLock&) = delete;
   SegmentRangeLock& operator=(const SegmentRangeLock&) = delete;
 
-  Handle AcquireRead(const Range& r) { return Acquire(r, /*reader=*/true); }
-  Handle AcquireWrite(const Range& r) { return Acquire(r, /*reader=*/false); }
+  Handle Lock(const Range& r, LockMode mode = LockMode::kWrite) {
+    // lock_*_until(Infinite) never gives up, so the blocking acquisition is the
+    // deadline walk with an inexhaustible deadline — one copy of the segment loop.
+    Handle h;
+    AcquireDeadline(r, mode == LockMode::kRead, Deadline::Infinite(), &h);
+    return h;
+  }
 
   // Non-blocking acquisition: try_locks each covered segment in ascending order; if any
   // segment is unavailable, the already-acquired prefix is released (in descending
   // order) and the whole acquisition fails. Because segments are coarser than ranges, a
   // failure does not prove a conflicting *range* is held — only a conflicting segment —
   // so disjoint ranges sharing a segment can fail against each other (the lock is not
-  // precise; see kPrecise in the adapter layer).
-  bool TryAcquireRead(const Range& r, Handle* out) {
-    return AcquireDeadline(r, /*reader=*/true, Deadline::Immediate(), out);
-  }
-  bool TryAcquireWrite(const Range& r, Handle* out) {
-    return AcquireDeadline(r, /*reader=*/false, Deadline::Immediate(), out);
+  // precise; see kPrecise in the test presets, src/harness/lock_adapters.h).
+  bool TryLock(const Range& r, Handle* out, LockMode mode = LockMode::kWrite) {
+    return AcquireDeadline(r, mode == LockMode::kRead, Deadline::Immediate(), out);
   }
 
   // Timed acquisition: polls each segment until it is taken or the deadline expires;
   // expiry releases the prefix and fails. The deadline covers the whole range, not each
   // segment.
-  bool AcquireReadFor(const Range& r, std::chrono::nanoseconds timeout, Handle* out) {
-    return AcquireDeadline(r, /*reader=*/true, Deadline::After(timeout), out);
-  }
-  bool AcquireWriteFor(const Range& r, std::chrono::nanoseconds timeout, Handle* out) {
-    return AcquireDeadline(r, /*reader=*/false, Deadline::After(timeout), out);
+  bool LockFor(const Range& r, std::chrono::nanoseconds timeout, Handle* out,
+               LockMode mode = LockMode::kWrite) {
+    return AcquireDeadline(r, mode == LockMode::kRead, Deadline::After(timeout), out);
   }
 
-  void Release(const Handle& h) {
+  void Unlock(const Handle& h) {
     for (uint32_t i = h.last_seg + 1; i-- > h.first_seg;) {
       if (h.reader) {
         segments_[i].value.unlock_shared();
@@ -84,14 +86,6 @@ class SegmentRangeLock {
   uint32_t NumSegments() const { return num_segments_; }
 
  private:
-  Handle Acquire(const Range& r, bool reader) {
-    // lock_*_until(Infinite) never gives up, so the blocking acquisition is the
-    // deadline walk with an inexhaustible deadline — one copy of the segment loop.
-    Handle h;
-    AcquireDeadline(r, reader, Deadline::Infinite(), &h);
-    return h;
-  }
-
   bool AcquireDeadline(const Range& r, bool reader, const Deadline& deadline,
                        Handle* out) {
     assert(r.Valid());
@@ -130,6 +124,8 @@ class SegmentRangeLock {
   uint32_t num_segments_;
   std::unique_ptr<CacheAligned<RwSpinLock>[]> segments_;
 };
+
+static_assert(RangeLock<SegmentRangeLock>);
 
 }  // namespace srl
 

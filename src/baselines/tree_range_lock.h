@@ -29,6 +29,7 @@
 #include <mutex>
 
 #include "src/core/range.h"
+#include "src/core/range_lock.h"
 #include "src/harness/free_list.h"
 #include "src/harness/wait_stats.h"
 #include "src/rbtree/interval_tree.h"
@@ -60,6 +61,7 @@ class TreeRangeLock {
   };
 
   using Handle = Node*;
+  static constexpr bool kSharedReaders = true;
 
   TreeRangeLock() = default;
   TreeRangeLock(const TreeRangeLock&) = delete;
@@ -67,31 +69,33 @@ class TreeRangeLock {
 
   ~TreeRangeLock() { assert(tree_.Empty() && "ranges still held at destruction"); }
 
-  // Reader-writer semantics ("kernel-rw"). For the exclusive variant ("lustre-ex"),
-  // callers simply acquire everything as a write.
-  Handle AcquireRead(const Range& r) { return Acquire(r, /*reader=*/true); }
-  Handle AcquireWrite(const Range& r) { return Acquire(r, /*reader=*/false); }
+  // Reader-writer semantics ("kernel-rw"). The exclusive variant ("lustre-ex") is
+  // Exclusive<TreeRangeLock>, which takes everything as a write.
+  Handle Lock(const Range& r, LockMode mode = LockMode::kWrite) {
+    Handle out = nullptr;
+    AcquireWithDeadline(r, mode == LockMode::kRead, Deadline::Infinite(), &out);
+    return out;
+  }
 
   // Non-blocking acquisition: succeeds iff the request would have admitted immediately
   // (zero blockers at insertion time). On failure nothing is inserted, so the FIFO
   // admission pathology (§3) never sees the request. The internal spin lock is still
   // taken — like the kernel's trylock, "non-blocking" refers to the range wait, not the
   // short structure lock.
-  bool TryAcquireRead(const Range& r, Handle* out) { return TryAcquire(r, true, out); }
-  bool TryAcquireWrite(const Range& r, Handle* out) { return TryAcquire(r, false, out); }
+  bool TryLock(const Range& r, Handle* out, LockMode mode = LockMode::kWrite) {
+    return TryAcquire(r, mode == LockMode::kRead, out);
+  }
 
-  // Timed acquisition: inserts and waits like Acquire, but gives up once `timeout`
+  // Timed acquisition: inserts and waits like Lock, but gives up once `timeout`
   // elapses. An aborting waiter removes its node and un-counts itself from every
   // conflicting later arrival (they counted it under FIFO admission), so waiters behind
   // an aborted request admit as if it had never queued.
-  bool AcquireReadFor(const Range& r, std::chrono::nanoseconds timeout, Handle* out) {
-    return AcquireWithDeadline(r, /*reader=*/true, Deadline::After(timeout), out);
-  }
-  bool AcquireWriteFor(const Range& r, std::chrono::nanoseconds timeout, Handle* out) {
-    return AcquireWithDeadline(r, /*reader=*/false, Deadline::After(timeout), out);
+  bool LockFor(const Range& r, std::chrono::nanoseconds timeout, Handle* out,
+               LockMode mode = LockMode::kWrite) {
+    return AcquireWithDeadline(r, mode == LockMode::kRead, Deadline::After(timeout), out);
   }
 
-  void Release(Handle n) {
+  void Unlock(Handle n) {
     LockInternal();
     RemoveAndNotifyLocked(n);
     spin_.unlock();
@@ -114,12 +118,6 @@ class TreeRangeLock {
   }
 
  private:
-  Handle Acquire(const Range& r, bool reader) {
-    Handle out = nullptr;
-    AcquireWithDeadline(r, reader, Deadline::Infinite(), &out);
-    return out;
-  }
-
   bool AcquireWithDeadline(const Range& r, bool reader, const Deadline& deadline,
                            Handle* out) {
     assert(r.Valid());
@@ -224,6 +222,8 @@ class TreeRangeLock {
   uint64_t next_seq_ = 1;  // guarded by spin_
   WaitStats* spin_stats_ = nullptr;
 };
+
+static_assert(RangeLock<TreeRangeLock>);
 
 }  // namespace srl
 

@@ -19,33 +19,38 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 
-#include "src/core/list_range_lock.h"
-#include "src/core/list_rw_range_lock.h"
 #include "src/core/range.h"
+#include "src/core/range_lock.h"
 #include "src/sync/fair_rw_lock.h"
 
 namespace srl {
 
-// Fairness wrapper over the exclusive list-based range lock.
-class FairListRangeLock {
+// Fairness wrapper over a list-based range lock (ListRangeLock or ListRwRangeLock),
+// which supplies the bounded-patience LockBounded. For list-rw, writer validation
+// failures count against patience, so a writer forever restarted by a reader stream
+// eventually escalates — the starvation scenario §4.2 calls out.
+template <RangeLock Inner>
+class FairRangeLock {
  public:
   struct Options {
-    ListRangeLock::Options inner;
+    typename Inner::Options inner;
     // Lock-induced failures (lost CASes / restarts) tolerated before going impatient.
     int patience = 16;
   };
 
-  using Handle = ListRangeLock::Handle;
+  using Handle = typename Inner::Handle;
+  static constexpr bool kSharedReaders = Inner::kSharedReaders;
 
-  FairListRangeLock() : FairListRangeLock(Options{}) {}
-  explicit FairListRangeLock(Options options)
+  FairRangeLock() : FairRangeLock(Options{}) {}
+  explicit FairRangeLock(Options options)
       : inner_(options.inner), patience_(options.patience) {}
 
-  Handle Lock(const Range& range) {
+  Handle Lock(const Range& range, LockMode mode = LockMode::kWrite) {
     Handle h = nullptr;
     if (impatient_.load(std::memory_order_acquire) == 0) {
-      if (inner_.LockBounded(range, patience_, &h)) {
+      if (inner_.LockBounded(range, patience_, &h, mode)) {
         return h;
       }
       // Patience exhausted — escalate below.
@@ -53,13 +58,13 @@ class FairListRangeLock {
       // Impatient thread(s) ahead of us: wait our turn, then acquire normally. Readers
       // of the auxiliary lock proceed in parallel with each other.
       aux_.lock_shared();
-      h = inner_.Lock(range);
+      h = inner_.Lock(range, mode);
       aux_.unlock_shared();
       return h;
     }
     impatient_.fetch_add(1, std::memory_order_acq_rel);
     aux_.lock();
-    h = inner_.Lock(range);
+    h = inner_.Lock(range, mode);
     aux_.unlock();
     impatient_.fetch_sub(1, std::memory_order_acq_rel);
     return h;
@@ -69,79 +74,18 @@ class FairListRangeLock {
   // fairness machinery: a try acquisition never waits, so it cannot starve, and making
   // it queue behind impatient threads would turn "fail fast" into "block". This mirrors
   // the kernel, where down_read_trylock ignores the waiter queue.
-  bool TryLock(const Range& range, Handle* out) { return inner_.TryLock(range, out); }
-  bool LockFor(const Range& range, std::chrono::nanoseconds timeout, Handle* out) {
-    return inner_.LockFor(range, timeout, out);
+  bool TryLock(const Range& range, Handle* out, LockMode mode = LockMode::kWrite) {
+    return inner_.TryLock(range, out, mode);
+  }
+  bool LockFor(const Range& range, std::chrono::nanoseconds timeout, Handle* out,
+               LockMode mode = LockMode::kWrite) {
+    return inner_.LockFor(range, timeout, out, mode);
   }
 
   void Unlock(Handle h) { inner_.Unlock(h); }
 
  private:
-  ListRangeLock inner_;
-  FairRwLock aux_;
-  std::atomic<uint32_t> impatient_{0};
-  int patience_;
-};
-
-// Fairness wrapper over the reader-writer list-based range lock. Writer validation
-// failures count against patience, so a writer forever restarted by a reader stream
-// eventually escalates — the starvation scenario §4.2 calls out.
-class FairListRwRangeLock {
- public:
-  struct Options {
-    ListRwRangeLock::Options inner;
-    int patience = 16;
-  };
-
-  using Handle = ListRwRangeLock::Handle;
-
-  FairListRwRangeLock() : FairListRwRangeLock(Options{}) {}
-  explicit FairListRwRangeLock(Options options)
-      : inner_(options.inner), patience_(options.patience) {}
-
-  Handle LockRead(const Range& range) { return LockImpl(range, /*reader=*/true); }
-  Handle LockWrite(const Range& range) { return LockImpl(range, /*reader=*/false); }
-
-  // See FairListRangeLock: try/timed acquisitions bypass the fairness layer.
-  bool TryLockRead(const Range& range, Handle* out) {
-    return inner_.TryLockRead(range, out);
-  }
-  bool TryLockWrite(const Range& range, Handle* out) {
-    return inner_.TryLockWrite(range, out);
-  }
-  bool LockReadFor(const Range& range, std::chrono::nanoseconds timeout, Handle* out) {
-    return inner_.LockReadFor(range, timeout, out);
-  }
-  bool LockWriteFor(const Range& range, std::chrono::nanoseconds timeout, Handle* out) {
-    return inner_.LockWriteFor(range, timeout, out);
-  }
-
-  void Unlock(Handle h) { inner_.Unlock(h); }
-
- private:
-  Handle LockImpl(const Range& range, bool reader) {
-    Handle h = nullptr;
-    if (impatient_.load(std::memory_order_acquire) == 0) {
-      const bool ok = reader ? inner_.LockReadBounded(range, patience_, &h)
-                             : inner_.LockWriteBounded(range, patience_, &h);
-      if (ok) {
-        return h;
-      }
-    } else {
-      aux_.lock_shared();
-      h = reader ? inner_.LockRead(range) : inner_.LockWrite(range);
-      aux_.unlock_shared();
-      return h;
-    }
-    impatient_.fetch_add(1, std::memory_order_acq_rel);
-    aux_.lock();
-    h = reader ? inner_.LockRead(range) : inner_.LockWrite(range);
-    aux_.unlock();
-    impatient_.fetch_sub(1, std::memory_order_acq_rel);
-    return h;
-  }
-
-  ListRwRangeLock inner_;
+  Inner inner_;
   FairRwLock aux_;
   std::atomic<uint32_t> impatient_{0};
   int patience_;

@@ -40,6 +40,7 @@
 #include "src/core/lnode.h"
 #include "src/core/range.h"
 #include "src/core/range_list.h"
+#include "src/core/range_lock.h"
 #include "src/epoch/epoch_domain.h"
 #include "src/epoch/node_pool.h"
 #include "src/sync/admission.h"
@@ -65,6 +66,7 @@ class ListLockFreeRangeLock {
   // Head of the acquisition's sibling chain (one node per covered bucket, ascending
   // bucket order). Opaque to callers; consumed by Unlock.
   using Handle = LNode*;
+  static constexpr bool kSharedReaders = false;
 
   ListLockFreeRangeLock() : ListLockFreeRangeLock(Options{}) {}
   explicit ListLockFreeRangeLock(Options options)
@@ -81,8 +83,9 @@ class ListLockFreeRangeLock {
   ListLockFreeRangeLock& operator=(const ListLockFreeRangeLock&) = delete;
 
   // Blocks until [range.start, range.end) is held exclusively. The returned handle must
-  // be passed to Unlock() by the same logical owner (any thread may release it).
-  Handle Lock(const Range& range) {
+  // be passed to Unlock() by the same logical owner (any thread may release it). The
+  // lock is exclusive, so every mode takes the range as a write.
+  Handle Lock(const Range& range, LockMode = LockMode::kWrite) {
     Handle h = nullptr;
     AcquireImpl(range, Deadline::Infinite(), &h);
     return h;
@@ -92,7 +95,7 @@ class ListLockFreeRangeLock {
   // overlapping holder in any covered bucket. Lost insertion CASes are retried — they
   // signal contention on a list's structure, not a held conflicting range — so a
   // TryLock of a range that conflicts with nothing held always succeeds.
-  bool TryLock(const Range& range, Handle* out) {
+  bool TryLock(const Range& range, Handle* out, LockMode = LockMode::kWrite) {
     return AcquireImpl(range, Deadline::Immediate(), out);
   }
 
@@ -100,7 +103,8 @@ class ListLockFreeRangeLock {
   // once `timeout` has elapsed. Nodes already inserted into earlier buckets are marked
   // released on the way out, so an abandoned acquisition leaves only inert marked
   // residue for other traversals to collect.
-  bool LockFor(const Range& range, std::chrono::nanoseconds timeout, Handle* out) {
+  bool LockFor(const Range& range, std::chrono::nanoseconds timeout, Handle* out,
+               LockMode = LockMode::kWrite) {
     return AcquireImpl(range, Deadline::After(timeout), out);
   }
 
@@ -108,20 +112,6 @@ class ListLockFreeRangeLock {
   // covered bucket, one fast-path CAS attempt (no loop) and at most one fetch_add —
   // no lock acquisition, no traversal, no retry.
   void Unlock(Handle handle) { ReleaseChain(handle); }
-
-  // RAII guard.
-  class Guard {
-   public:
-    Guard(ListLockFreeRangeLock& lock, const Range& range)
-        : lock_(lock), h_(lock.Lock(range)) {}
-    ~Guard() { lock_.Unlock(h_); }
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
-
-   private:
-    ListLockFreeRangeLock& lock_;
-    Handle h_;
-  };
 
   std::size_t bucket_count() const { return bucket_count_; }
   int window_shift() const { return window_shift_; }
@@ -275,6 +265,8 @@ class ListLockFreeRangeLock {
   // Caps active contenders on the slow path (see AcquireImpl).
   AdmissionGate gate_;
 };
+
+static_assert(RangeLock<ListLockFreeRangeLock>);
 
 }  // namespace srl
 

@@ -23,6 +23,7 @@
 #include "src/core/lnode.h"
 #include "src/core/range.h"
 #include "src/core/range_list.h"
+#include "src/core/range_lock.h"
 #include "src/epoch/epoch_domain.h"
 #include "src/epoch/node_pool.h"
 #include "src/sync/admission.h"
@@ -39,6 +40,7 @@ class ListRangeLock {
 
   // Opaque handle to an acquired range; returned by Lock, consumed by Unlock.
   using Handle = LNode*;
+  static constexpr bool kSharedReaders = false;
 
   ListRangeLock() = default;
   explicit ListRangeLock(Options options) : options_(options) {}
@@ -46,8 +48,9 @@ class ListRangeLock {
   ListRangeLock& operator=(const ListRangeLock&) = delete;
 
   // Blocks until [range.start, range.end) is held exclusively. The returned handle must
-  // be passed to Unlock() by the same logical owner (any thread may release it).
-  Handle Lock(const Range& range) {
+  // be passed to Unlock() by the same logical owner (any thread may release it). The
+  // lock is exclusive, so every mode takes the range as a write.
+  Handle Lock(const Range& range, LockMode = LockMode::kWrite) {
     Handle h = nullptr;
     AcquireImpl(range, /*max_failures=*/-1, Deadline::Infinite(), &h);
     return h;
@@ -57,40 +60,29 @@ class ListRangeLock {
   // would have to wait for an overlapping holder. Lost insertion CASes are retried —
   // they signal contention on the list structure, not a held conflicting range — so a
   // TryLock of a range that conflicts with nothing held always succeeds.
-  bool TryLock(const Range& range, Handle* out) {
+  bool TryLock(const Range& range, Handle* out, LockMode = LockMode::kWrite) {
     return AcquireImpl(range, /*max_failures=*/-1, Deadline::Immediate(), out);
   }
 
   // Timed acquisition: blocks like Lock() but gives up (returns false, no range held)
   // once `timeout` has elapsed. The waiter aborts before ever entering the list, so an
   // abandoned acquisition leaves no trace for other threads to clean up.
-  bool LockFor(const Range& range, std::chrono::nanoseconds timeout, Handle* out) {
+  bool LockFor(const Range& range, std::chrono::nanoseconds timeout, Handle* out,
+               LockMode = LockMode::kWrite) {
     return AcquireImpl(range, /*max_failures=*/-1, Deadline::After(timeout), out);
   }
 
   // Bounded-patience variant for the fairness layer: gives up (returns false, no range
   // held) once the acquisition suffered more than `max_failures` lock-induced failures
   // (see FailureBudget).
-  bool LockBounded(const Range& range, int max_failures, Handle* out) {
+  bool LockBounded(const Range& range, int max_failures, Handle* out,
+                   LockMode = LockMode::kWrite) {
     return AcquireImpl(range, max_failures, Deadline::Infinite(), out);
   }
 
   // Releases an acquired range. Wait-free: one atomic fetch_add (plus a CAS attempt on
   // the fast path; with the fast path off the head is never read).
   void Unlock(Handle node) { list_.Release(node, options_.enable_fast_path); }
-
-  // RAII guard.
-  class Guard {
-   public:
-    Guard(ListRangeLock& lock, const Range& range) : lock_(lock), h_(lock.Lock(range)) {}
-    ~Guard() { lock_.Unlock(h_); }
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
-
-   private:
-    ListRangeLock& lock_;
-    Handle h_;
-  };
 
   // --- Test-only introspection (callers must guarantee quiescence) ---
 
@@ -132,6 +124,8 @@ class ListRangeLock {
   // Caps active contenders on the slow path (see AcquireImpl).
   AdmissionGate gate_;
 };
+
+static_assert(RangeLock<ListRangeLock>);
 
 }  // namespace srl
 

@@ -30,6 +30,7 @@
 #include "src/core/lnode.h"
 #include "src/core/range.h"
 #include "src/core/range_list.h"
+#include "src/core/range_lock.h"
 #include "src/epoch/epoch_domain.h"
 #include "src/epoch/node_pool.h"
 #include "src/sync/admission.h"
@@ -45,61 +46,45 @@ class ListRwRangeLock {
   };
 
   using Handle = LNode*;
+  static constexpr bool kSharedReaders = true;
 
   ListRwRangeLock() = default;
   explicit ListRwRangeLock(Options options) : options_(options) {}
   ListRwRangeLock(const ListRwRangeLock&) = delete;
   ListRwRangeLock& operator=(const ListRwRangeLock&) = delete;
 
-  // Blocks until [range.start, range.end) is held in shared (read) mode.
-  Handle LockRead(const Range& range) {
+  // Blocks until [range.start, range.end) is held in `mode`: shared for reads,
+  // exclusive for writes.
+  Handle Lock(const Range& range, LockMode mode = LockMode::kWrite) {
     Handle h = nullptr;
-    AcquireImpl(range, /*reader=*/true, /*max_failures=*/-1, Deadline::Infinite(), &h);
+    AcquireImpl(range, mode, /*max_failures=*/-1, Deadline::Infinite(), &h);
     return h;
   }
 
-  // Blocks until [range.start, range.end) is held in exclusive (write) mode.
-  Handle LockWrite(const Range& range) {
-    Handle h = nullptr;
-    AcquireImpl(range, /*reader=*/false, /*max_failures=*/-1, Deadline::Infinite(), &h);
-    return h;
-  }
-
-  // Non-blocking acquisitions (down_read_trylock / down_write_trylock semantics): fail
+  // Non-blocking acquisition (down_read_trylock / down_write_trylock semantics): fails
   // the moment the acquisition would have to wait for a conflicting holder, or — for a
   // writer — the moment its validation pass finds a conflicting node. A try acquisition
   // of a range conflicting with nothing held always succeeds; failure under a transient
   // in-flight conflict (e.g. a writer that is about to self-delete) is possible and
   // allowed, exactly as for the kernel's trylocks.
-  bool TryLockRead(const Range& range, Handle* out) {
-    return AcquireImpl(range, /*reader=*/true, /*max_failures=*/-1,
-                       Deadline::Immediate(), out);
-  }
-  bool TryLockWrite(const Range& range, Handle* out) {
-    return AcquireImpl(range, /*reader=*/false, /*max_failures=*/-1,
-                       Deadline::Immediate(), out);
+  bool TryLock(const Range& range, Handle* out, LockMode mode = LockMode::kWrite) {
+    return AcquireImpl(range, mode, /*max_failures=*/-1, Deadline::Immediate(), out);
   }
 
-  // Timed acquisitions: block like LockRead/LockWrite but give up once `timeout` has
-  // elapsed. A waiter that aborts before insertion leaves no trace; a reader that
-  // aborts *inside* its validation pass is already in the list and self-deletes (marks
-  // its own node) — later traversals unlink and reclaim it like any released range.
-  bool LockReadFor(const Range& range, std::chrono::nanoseconds timeout, Handle* out) {
-    return AcquireImpl(range, /*reader=*/true, /*max_failures=*/-1,
-                       Deadline::After(timeout), out);
-  }
-  bool LockWriteFor(const Range& range, std::chrono::nanoseconds timeout, Handle* out) {
-    return AcquireImpl(range, /*reader=*/false, /*max_failures=*/-1,
-                       Deadline::After(timeout), out);
+  // Timed acquisition: blocks like Lock() but gives up once `timeout` has elapsed. A
+  // waiter that aborts before insertion leaves no trace; a reader that aborts *inside*
+  // its validation pass is already in the list and self-deletes (marks its own node) —
+  // later traversals unlink and reclaim it like any released range.
+  bool LockFor(const Range& range, std::chrono::nanoseconds timeout, Handle* out,
+               LockMode mode = LockMode::kWrite) {
+    return AcquireImpl(range, mode, /*max_failures=*/-1, Deadline::After(timeout), out);
   }
 
-  // Bounded-patience variants for the fairness layer (§4.3). Failed writer validations
+  // Bounded-patience variant for the fairness layer (§4.3). Failed writer validations
   // count as failures, as do lost CASes and forced restarts.
-  bool LockReadBounded(const Range& range, int max_failures, Handle* out) {
-    return AcquireImpl(range, /*reader=*/true, max_failures, Deadline::Infinite(), out);
-  }
-  bool LockWriteBounded(const Range& range, int max_failures, Handle* out) {
-    return AcquireImpl(range, /*reader=*/false, max_failures, Deadline::Infinite(), out);
+  bool LockBounded(const Range& range, int max_failures, Handle* out,
+                   LockMode mode = LockMode::kWrite) {
+    return AcquireImpl(range, mode, max_failures, Deadline::Infinite(), out);
   }
 
   // Releases a range acquired in either mode.
@@ -113,11 +98,12 @@ class ListRwRangeLock {
   // in `list`: a node that failed validation is already marked there and the list owns
   // it. `rvalidate_aborts` (may be null) counts timed readers that self-deleted inside
   // RValidate.
-  static bool AcquireIn(RangeList& list, const Range& range, bool reader, bool fast_path,
-                        FailureBudget& budget, const Deadline& deadline,
+  static bool AcquireIn(RangeList& list, const Range& range, LockMode mode,
+                        bool fast_path, FailureBudget& budget, const Deadline& deadline,
                         AdmissionSpinner& gate_spinner, Handle* out,
                         std::atomic<uint64_t>* rvalidate_aborts = nullptr) {
     assert(range.Valid() && "range locks require start < end");
+    const bool reader = mode == LockMode::kRead;
     EpochDomain::ThreadRec* rec = CurrentThreadRec(EpochDomain::Global());
     // Writer validation failure restarts the whole acquisition with a fresh node
     // (Listing 2's do/while): the failed node is already marked inside the list and will
@@ -179,32 +165,6 @@ class ListRwRangeLock {
     }
   }
 
-  class ReadGuard {
-   public:
-    ReadGuard(ListRwRangeLock& lock, const Range& range)
-        : lock_(lock), h_(lock.LockRead(range)) {}
-    ~ReadGuard() { lock_.Unlock(h_); }
-    ReadGuard(const ReadGuard&) = delete;
-    ReadGuard& operator=(const ReadGuard&) = delete;
-
-   private:
-    ListRwRangeLock& lock_;
-    Handle h_;
-  };
-
-  class WriteGuard {
-   public:
-    WriteGuard(ListRwRangeLock& lock, const Range& range)
-        : lock_(lock), h_(lock.LockWrite(range)) {}
-    ~WriteGuard() { lock_.Unlock(h_); }
-    WriteGuard(const WriteGuard&) = delete;
-    WriteGuard& operator=(const WriteGuard&) = delete;
-
-   private:
-    ListRwRangeLock& lock_;
-    Handle h_;
-  };
-
   // --- Test-only introspection (callers must guarantee quiescence) ---
 
   // Times a timed reader expired inside r_validate and self-deleted its enqueued node.
@@ -241,13 +201,13 @@ class ListRwRangeLock {
     return 0;
   }
 
-  bool AcquireImpl(const Range& range, bool reader, int max_failures,
+  bool AcquireImpl(const Range& range, LockMode mode, int max_failures,
                    const Deadline& deadline, Handle* out) {
     // Caps active contenders at ~#cores across the whole acquisition, all validation
     // restarts included. Timed and immediate deadlines make it inert.
     AdmissionSpinner gate_spinner(&gate_, deadline);
     FailureBudget budget{max_failures};
-    return AcquireIn(list_, range, reader, options_.enable_fast_path, budget, deadline,
+    return AcquireIn(list_, range, mode, options_.enable_fast_path, budget, deadline,
                      gate_spinner, out, &rvalidate_aborts_);
   }
 
@@ -354,6 +314,8 @@ class ListRwRangeLock {
   // Caps active contenders on the slow path (see AcquireImpl).
   AdmissionGate gate_;
 };
+
+static_assert(RangeLock<ListRwRangeLock>);
 
 }  // namespace srl
 

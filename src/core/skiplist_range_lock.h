@@ -56,6 +56,7 @@
 #include "src/core/lnode.h"  // kMarkBit / IsMarked / Unmark word helpers
 #include "src/core/range.h"
 #include "src/core/range_list.h"
+#include "src/core/range_lock.h"
 #include "src/epoch/epoch_domain.h"
 #include "src/epoch/node_pool.h"
 #include "src/harness/prng.h"
@@ -98,6 +99,7 @@ class SkiplistRangeLock {
 
   // The acquisition's own node. Opaque to callers; consumed by Unlock (any thread).
   using Handle = SkipLockNode*;
+  static constexpr bool kSharedReaders = false;
 
   SkiplistRangeLock() = default;
   SkiplistRangeLock(const SkiplistRangeLock&) = delete;
@@ -124,7 +126,8 @@ class SkiplistRangeLock {
 
   // Blocks until [range.start, range.end) is held exclusively. The returned handle
   // must be passed to Unlock() by the same logical owner (any thread may release it).
-  Handle Lock(const Range& range) {
+  // The lock is exclusive, so every mode takes the range as a write.
+  Handle Lock(const Range& range, LockMode = LockMode::kWrite) {
     Handle h = nullptr;
     AcquireImpl(range, Deadline::Infinite(), &h);
     return h;
@@ -134,14 +137,15 @@ class SkiplistRangeLock {
   // holder. Lost insertion CASes are retried — they signal contention on the list
   // structure, not a held conflicting range — so a TryLock of a range conflicting
   // with nothing held always succeeds.
-  bool TryLock(const Range& range, Handle* out) {
+  bool TryLock(const Range& range, Handle* out, LockMode = LockMode::kWrite) {
     return AcquireImpl(range, Deadline::Immediate(), out);
   }
 
   // Timed: blocks like Lock() but gives up (returns false, nothing held) once
   // `timeout` elapses. The node never entered the index on failure, so it recycles
   // with no grace period.
-  bool LockFor(const Range& range, std::chrono::nanoseconds timeout, Handle* out) {
+  bool LockFor(const Range& range, std::chrono::nanoseconds timeout, Handle* out,
+               LockMode = LockMode::kWrite) {
     return AcquireImpl(range, Deadline::After(timeout), out);
   }
 
@@ -155,20 +159,6 @@ class SkiplistRangeLock {
       handle->next[l].fetch_add(kMarkBit, std::memory_order_release);
     }
   }
-
-  // RAII guard.
-  class Guard {
-   public:
-    Guard(SkiplistRangeLock& lock, const Range& range)
-        : lock_(lock), h_(lock.Lock(range)) {}
-    ~Guard() { lock_.Unlock(h_); }
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
-
-   private:
-    SkiplistRangeLock& lock_;
-    Handle h_;
-  };
 
   // --- Test-only introspection ---
 
@@ -225,8 +215,6 @@ class SkiplistRangeLock {
     }
     return true;
   }
-
-  static const char* Name() { return "skiplist-indexed"; }
 
  private:
   static SkipLockNode* ToSkipNode(uintptr_t word) {
@@ -382,6 +370,8 @@ class SkiplistRangeLock {
   // Caps active contenders on the conflict-wait path (see AcquireImpl).
   AdmissionGate gate_;
 };
+
+static_assert(RangeLock<SkiplistRangeLock>);
 
 }  // namespace srl
 

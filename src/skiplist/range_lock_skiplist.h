@@ -12,8 +12,8 @@
 // whose rewrites could touch the same nodes; disjoint updates proceed in parallel.
 // Contains() remains wait-free and lock-free.
 //
-// LockPolicy selects the underlying exclusive range lock:
-//   ListLockPolicy (the paper's list-based lock) or TreeLockPolicy (kernel tree lock).
+// LockPolicy selects the underlying exclusive range lock: ListLockPolicy (the paper's
+// list-based lock) or TreeLockPolicy (the kernel tree lock run exclusively).
 #ifndef SRL_SKIPLIST_RANGE_LOCK_SKIPLIST_H_
 #define SRL_SKIPLIST_RANGE_LOCK_SKIPLIST_H_
 
@@ -26,6 +26,7 @@
 #include "src/baselines/tree_range_lock.h"
 #include "src/core/list_range_lock.h"
 #include "src/core/range.h"
+#include "src/core/range_lock.h"
 #include "src/epoch/epoch_domain.h"
 #include "src/epoch/retire_list.h"
 #include "src/harness/prng.h"
@@ -33,24 +34,16 @@
 
 namespace srl {
 
-// Policy adapters giving both lock families the same Lock/Unlock shape.
-struct ListLockPolicy {
-  using Handle = ListRangeLock::Handle;
+// The two locks, named for Figure 4's series.
+struct ListLockPolicy : ListRangeLock {
   static const char* Name() { return "range-list"; }
-  Handle Lock(const Range& r) { return lock.Lock(r); }
-  void Unlock(Handle h) { lock.Unlock(h); }
-  ListRangeLock lock;
 };
 
-struct TreeLockPolicy {
-  using Handle = TreeRangeLock::Handle;
+struct TreeLockPolicy : Exclusive<TreeRangeLock> {
   static const char* Name() { return "range-lustre"; }
-  Handle Lock(const Range& r) { return lock.AcquireWrite(r); }
-  void Unlock(Handle h) { lock.Release(h); }
-  TreeRangeLock lock;
 };
 
-template <typename LockPolicy>
+template <RangeLock LockPolicy>
 class RangeLockSkipList {
  public:
   static constexpr int kMaxLevel = 20;

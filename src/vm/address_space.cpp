@@ -176,12 +176,12 @@ uint64_t AddressSpace::MmapInStripe(unsigned stripe, uint64_t length, uint32_t p
   // mapping changes. No padding is needed — the guard page (or the window edge, for an
   // exact-fit carve) guarantees no neighbour boundary is touched.
   const Range r = scoped_structural_ ? Range{addr, addr + size} : Range::Full();
-  void* h = lock_->LockWrite(r);
+  void* h = lock_->Lock(r);
   VmaStripe& st = index_.Stripe(si);
   st.LockMutate();
   st.Insert(AllocVma(addr, addr + size, prot));
   st.UnlockMutate();
-  lock_->UnlockWrite(h);
+  lock_->Unlock(h);
   if (scoped_structural_) {
     slice.scoped_structural.fetch_add(1, std::memory_order_relaxed);
   }
@@ -241,7 +241,7 @@ bool AddressSpace::Munmap(uint64_t addr, uint64_t length) {
     uint64_t le = 0;
     switch (ClassifyStructuralRange(s, e, &si, &ls, &le)) {
       case RangeClass::kScoped: {
-        void* h = lock_->LockWrite({ls, le});
+        void* h = lock_->Lock({ls, le});
         VmaStripe& st = index_.Stripe(si);
         st.LockMutate();
         const bool any = ApplyMunmapLocked(s, e, si, si);
@@ -252,7 +252,7 @@ bool AddressSpace::Munmap(uint64_t addr, uint64_t length) {
           // the deferred half of the install-then-validate ordering argument.
           EnqueueSweepRange(s, e, mine);
         }
-        lock_->UnlockWrite(h);
+        lock_->Unlock(h);
         slice.scoped_structural.fetch_add(1, std::memory_order_relaxed);
         st.MaybeFlushRetired();
         MaybeFlushSweeps(si);
@@ -275,7 +275,7 @@ bool AddressSpace::Munmap(uint64_t addr, uint64_t length) {
   if (any) {
     EnqueueSweepRange(s, e, mine);
   }
-  lock_->UnlockWrite(h);
+  lock_->Unlock(h);
   index_.MaybeFlushRetired(lo, hi);
   MaybeFlushSweeps(s, e);
   return any;
@@ -479,7 +479,7 @@ bool AddressSpace::ScopedStructuralMprotect(uint64_t s, uint64_t e, uint32_t pro
     case RangeClass::kWrapped:
       return false;  // padded range wraps: not representable, take the full path
   }
-  void* h = lock_->LockWrite({ls, le});
+  void* h = lock_->Lock({ls, le});
   VmaStripe& st = index_.Stripe(si);
   // Classify-then-fallback (the structural analogue of SpecCase): every boundary and
   // protection write of ApplyMprotectLocked lands in [s, e] — except the merge sweep,
@@ -501,13 +501,13 @@ bool AddressSpace::ScopedStructuralMprotect(uint64_t s, uint64_t e, uint32_t pro
   }
   if (escapes) {
     st.UnlockStable();
-    lock_->UnlockWrite(h);
+    lock_->Unlock(h);
     return false;
   }
   st.UpgradeStableToMutate();
   *ok = ApplyMprotectLocked(s, e, prot, si, si);
   st.UnlockMutate();
-  lock_->UnlockWrite(h);
+  lock_->Unlock(h);
   slice.scoped_structural.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -574,7 +574,7 @@ bool AddressSpace::Mprotect(uint64_t addr, uint64_t length, uint32_t prot) {
       index_.LockMutateRange(lo, hi);
       const bool ok = ApplyMprotectLocked(s, e, prot, lo, hi);
       index_.UnlockMutateRange(lo, hi);
-      lock_->UnlockWrite(h);
+      lock_->Unlock(h);
       index_.MaybeFlushRetired(lo, hi);
       return ok;
     }
@@ -585,10 +585,10 @@ bool AddressSpace::Mprotect(uint64_t addr, uint64_t length, uint32_t prot) {
     // epoch-reclaimed VMAs that is only safe inside a critical section.
     {
       EpochGuard guard(EpochDomain::Global());
-      void* rh = lock_->LockRead({s, e});
+      void* rh = lock_->Lock({s, e}, LockMode::kRead);
       Vma* vma = FindVmaForRead(s, slice);
       if (vma == nullptr || vma->Start() > s) {
-        lock_->UnlockRead(rh);
+        lock_->Unlock(rh);
         return false;  // start address unmapped — ENOMEM
       }
       // The covering VMA's stripe is s's stripe (no VMA straddles a window edge);
@@ -597,18 +597,18 @@ bool AddressSpace::Mprotect(uint64_t addr, uint64_t length, uint32_t prot) {
       const uint64_t seq = st.ReadSeq();
       const uint64_t aligned_start = vma->Start() - kPageSize;
       const uint64_t aligned_end = vma->End() + kPageSize;
-      lock_->UnlockRead(rh);
+      lock_->Unlock(rh);
 
       // Re-acquire for write with the range widened to the VMA plus one page on each
       // side, so concurrent boundary moves on the neighbours are excluded (§5.2). The
       // stable stripe lock holds off out-of-range structural writers of this stripe
       // during classification without invalidating concurrent optimistic walks.
-      void* wh = lock_->LockWrite({aligned_start, aligned_end});
+      void* wh = lock_->Lock({aligned_start, aligned_end});
       st.LockStable();
       if (!st.ValidateSeq(seq) || aligned_start != vma->Start() - kPageSize ||
           aligned_end != vma->End() + kPageSize) {
         st.UnlockStable();
-        lock_->UnlockWrite(wh);
+        lock_->Unlock(wh);
         slice.spec_retries.fetch_add(1, std::memory_order_relaxed);
         continue;  // mm_rb may have changed under us — retry from the top
       }
@@ -661,7 +661,7 @@ bool AddressSpace::Mprotect(uint64_t addr, uint64_t length, uint32_t prot) {
           break;
       }
       st.UnlockStable();
-      lock_->UnlockWrite(wh);
+      lock_->Unlock(wh);
       if (fell_back) {
         continue;  // redo on the structural path
       }
@@ -885,11 +885,11 @@ bool AddressSpace::PageFault(uint64_t addr, bool is_write) {
   // mmap_read_trylock before it will ever sleep): the uncontended fault never blocks,
   // and the contended one falls back to the ordinary blocking acquisition.
   void* h = nullptr;
-  if (lock_->TryLockRead(r, &h)) {
+  if (lock_->TryLock(r, &h, LockMode::kRead)) {
     slice.fault_try_ok.fetch_add(1, std::memory_order_relaxed);
   } else {
     slice.fault_try_fallback.fetch_add(1, std::memory_order_relaxed);
-    h = lock_->LockRead(r);
+    h = lock_->Lock(r, LockMode::kRead);
   }
   bool ok;
   if (scoped_structural_) {
@@ -901,7 +901,7 @@ bool AddressSpace::PageFault(uint64_t addr, bool is_write) {
   } else {
     ok = PageFaultLocked(addr, is_write, page_addr, slice);
   }
-  lock_->UnlockRead(h);
+  lock_->Unlock(h);
   return ok;
 }
 
@@ -918,9 +918,9 @@ bool AddressSpace::MadviseDontNeed(uint64_t addr, uint64_t length) {
   // The drop is enqueued (see the header for the exact contract — only pre-call
   // installs are guaranteed gone, and only once the sweep flushes), one piece per
   // covered stripe, so every covered stripe's queue gets its flush check.
-  void* h = lock_->LockRead(refine_fault_ ? Range{s, e} : Range::Full());
+  void* h = lock_->Lock(refine_fault_ ? Range{s, e} : Range::Full(), LockMode::kRead);
   EnqueueSweepRange(s, e, stats_.Mine());
-  lock_->UnlockRead(h);
+  lock_->Unlock(h);
   MaybeFlushSweeps(s, e);
   return true;
 }
@@ -934,7 +934,7 @@ std::vector<VmaInfo> AddressSpace::SnapshotVmas() {
   for (Vma* v = index_.First(0, last); v != nullptr; v = index_.Next(v, last)) {
     out.push_back({v->Start(), v->End(), v->Prot()});
   }
-  lock_->UnlockWrite(h);
+  lock_->Unlock(h);
   return out;
 }
 
@@ -976,7 +976,7 @@ bool AddressSpace::CheckInvariants() {
       // Settle instead of flaking: drop the lock, drain (the barrier waits out every
       // such fault, so its undo has landed), and re-examine only the recorded
       // suspects. A real leak survives the drain and still fails.
-      lock_->UnlockWrite(h);
+      lock_->Unlock(h);
       DrainSweeps();
       h = lock_->LockFullWrite();
       for (uint64_t page : suspects) {
@@ -993,7 +993,7 @@ bool AddressSpace::CheckInvariants() {
       }
     }
   }
-  lock_->UnlockWrite(h);
+  lock_->Unlock(h);
   return ok;
 }
 

@@ -8,9 +8,13 @@
 //   list-lf       bucketed lock-free exclusive list lock (reads served as writes, the
 //                 lustre-ex pattern; disjoint ranges hit disjoint bucket heads)
 //
+// Every variant is an instance of one template (RangeVmLock, vm_lock.cpp) over a lock
+// with the native range-lock API (src/core/range_lock.h); the VM calls are that API's,
+// with a void* handle.
+//
 // Instrumentation: attach a WaitStats sink to measure acquisition wait time (read vs
-// write), reproducing the lock_stat measurements of Figure 7. TreeVmLock additionally
-// exposes the internal spin-lock wait sink for Figure 8.
+// write), reproducing the lock_stat measurements of Figure 7. The tree variant
+// additionally exposes the internal spin-lock wait sink for Figure 8.
 //
 // Striped address spaces: a Range is still a byte range, but the list lock follows the
 // address space's stripes (VmaIndex). It keeps one cache-aligned list-rw head per
@@ -43,13 +47,10 @@
 #include <cstdint>
 #include <memory>
 
-#include "src/baselines/tree_range_lock.h"
-#include "src/core/list_lockfree_range_lock.h"
-#include "src/core/list_rw_range_lock.h"
 #include "src/core/range.h"
+#include "src/core/range_lock.h"
 #include "src/harness/wait_stats.h"
 #include "src/sync/cacheline.h"
-#include "src/sync/rw_semaphore.h"
 #include "src/sync/topology.h"
 
 namespace srl::vm {
@@ -65,66 +66,44 @@ class VmLock {
  public:
   virtual ~VmLock() = default;
 
-  // Non-virtual interface: measures waits when a sink is attached.
-  void* LockRead(const Range& r) {
+  // Non-virtual interface: measures waits when a sink is attached. A handle records
+  // the mode it was taken in, so one Unlock releases either.
+  void* Lock(const Range& r, LockMode mode = LockMode::kWrite) {
+    if (mode == LockMode::kWrite) {
+      CountWrite(r);
+    }
     if (stats_ == nullptr) {
-      return DoLockRead(r);
+      return DoLock(r, mode);
     }
     const uint64_t t0 = WaitStats::NowNs();
-    void* h = DoLockRead(r);
-    stats_->RecordRead(WaitStats::NowNs() - t0);
+    void* h = DoLock(r, mode);
+    Record(mode, WaitStats::NowNs() - t0);
     return h;
   }
 
-  void* LockWrite(const Range& r) {
-    CountWrite(r);
-    if (stats_ == nullptr) {
-      return DoLockWrite(r);
-    }
-    const uint64_t t0 = WaitStats::NowNs();
-    void* h = DoLockWrite(r);
-    stats_->RecordWrite(WaitStats::NowNs() - t0);
-    return h;
-  }
-
-  void* LockFullWrite() { return LockWrite(Range::Full()); }
+  void* LockFullWrite() { return Lock(Range::Full()); }
 
   // Non-blocking acquisitions (mmap_read_trylock and friends). On success *out holds
   // the handle; on failure nothing is held and *out is untouched. A *successful* try is
   // recorded in the WaitStats sink like any other acquisition (its ~0ns sample keeps
-  // Figure 7 a per-acquisition distribution now that the fault path is trylock-first);
-  // a failed try records nothing — the blocking fallback that follows it measures the
-  // actual wait.
-  bool TryLockRead(const Range& r, void** out) {
-    if (stats_ == nullptr) {
-      return DoTryLockRead(r, out);
-    }
-    const uint64_t t0 = WaitStats::NowNs();
-    if (!DoTryLockRead(r, out)) {
+  // Figure 7 a per-acquisition distribution now that the fault path is trylock-first),
+  // and a successful write try counts as a write; a failed try records and counts
+  // nothing — the blocking fallback that follows it measures the actual wait.
+  bool TryLock(const Range& r, void** out, LockMode mode = LockMode::kWrite) {
+    const uint64_t t0 = stats_ == nullptr ? 0 : WaitStats::NowNs();
+    if (!DoTryLock(r, mode, out)) {
       return false;
     }
-    stats_->RecordRead(WaitStats::NowNs() - t0);
-    return true;
-  }
-  bool TryLockWrite(const Range& r, void** out) {
-    if (stats_ == nullptr) {
-      if (!DoTryLockWrite(r, out)) {
-        return false;
-      }
+    if (mode == LockMode::kWrite) {
       CountWrite(r);
-      return true;
     }
-    const uint64_t t0 = WaitStats::NowNs();
-    if (!DoTryLockWrite(r, out)) {
-      return false;
+    if (stats_ != nullptr) {
+      Record(mode, WaitStats::NowNs() - t0);
     }
-    CountWrite(r);
-    stats_->RecordWrite(WaitStats::NowNs() - t0);
     return true;
   }
 
-  void UnlockRead(void* h) { DoUnlockRead(h); }
-  void UnlockWrite(void* h) { DoUnlockWrite(h); }
+  void Unlock(void* h) { DoUnlock(h); }
 
   virtual const char* Name() const = 0;
 
@@ -143,18 +122,23 @@ class VmLock {
   uint64_t RangedWriteAcquisitions() const { return SumWrites(&WriteCounts::ranged); }
 
  protected:
-  virtual void* DoLockRead(const Range& r) = 0;
-  virtual void* DoLockWrite(const Range& r) = 0;
-  virtual bool DoTryLockRead(const Range& r, void** out) = 0;
-  virtual bool DoTryLockWrite(const Range& r, void** out) = 0;
-  virtual void DoUnlockRead(void* h) = 0;
-  virtual void DoUnlockWrite(void* h) = 0;
+  virtual void* DoLock(const Range& r, LockMode mode) = 0;
+  virtual bool DoTryLock(const Range& r, LockMode mode, void** out) = 0;
+  virtual void DoUnlock(void* h) = 0;
 
  private:
   struct alignas(kCacheLineSize) WriteCounts {
     std::atomic<uint64_t> full{0};
     std::atomic<uint64_t> ranged{0};
   };
+
+  void Record(LockMode mode, uint64_t ns) {
+    if (mode == LockMode::kRead) {
+      stats_->RecordRead(ns);
+    } else {
+      stats_->RecordWrite(ns);
+    }
+  }
 
   void CountWrite(const Range& r) {
     WriteCounts& mine = *writes_.Mine();

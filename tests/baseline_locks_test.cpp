@@ -22,67 +22,67 @@ using testing::StaysFalse;
 
 TEST(TreeRangeLockTest, AcquireReleaseSingleThread) {
   TreeRangeLock lock;
-  auto h = lock.AcquireWrite({0, 10});
+  auto h = lock.Lock({0, 10});
   EXPECT_EQ(lock.DebugHeldCount(), 1u);
   EXPECT_TRUE(lock.DebugTreeValid());
-  lock.Release(h);
+  lock.Unlock(h);
   EXPECT_EQ(lock.DebugHeldCount(), 0u);
 }
 
 TEST(TreeRangeLockTest, DisjointWritersDoNotBlock) {
   TreeRangeLock lock;
-  auto h1 = lock.AcquireWrite({0, 10});
+  auto h1 = lock.Lock({0, 10});
   std::atomic<bool> in{false};
   std::thread t([&] {
-    auto h2 = lock.AcquireWrite({20, 30});
+    auto h2 = lock.Lock({20, 30});
     in.store(true);
-    lock.Release(h2);
+    lock.Unlock(h2);
   });
   t.join();
   EXPECT_TRUE(in.load());
-  lock.Release(h1);
+  lock.Unlock(h1);
 }
 
 TEST(TreeRangeLockTest, OverlappingWriterBlocks) {
   TreeRangeLock lock;
-  auto h1 = lock.AcquireWrite({0, 10});
+  auto h1 = lock.Lock({0, 10});
   std::atomic<bool> in{false};
   std::thread t([&] {
-    auto h2 = lock.AcquireWrite({5, 15});
+    auto h2 = lock.Lock({5, 15});
     in.store(true);
-    lock.Release(h2);
+    lock.Unlock(h2);
   });
   EXPECT_TRUE(StaysFalse([&] { return in.load(); }));
-  lock.Release(h1);
+  lock.Unlock(h1);
   t.join();
   EXPECT_TRUE(in.load());
 }
 
 TEST(TreeRangeLockTest, OverlappingReadersShare) {
   TreeRangeLock lock;
-  auto r1 = lock.AcquireRead({0, 100});
+  auto r1 = lock.Lock({0, 100}, LockMode::kRead);
   std::atomic<bool> in{false};
   std::thread t([&] {
-    auto r2 = lock.AcquireRead({50, 150});
+    auto r2 = lock.Lock({50, 150}, LockMode::kRead);
     in.store(true);
-    lock.Release(r2);
+    lock.Unlock(r2);
   });
   t.join();
   EXPECT_TRUE(in.load());
-  lock.Release(r1);
+  lock.Unlock(r1);
 }
 
 TEST(TreeRangeLockTest, WriterBlocksBehindReader) {
   TreeRangeLock lock;
-  auto r = lock.AcquireRead({0, 100});
+  auto r = lock.Lock({0, 100}, LockMode::kRead);
   std::atomic<bool> in{false};
   std::thread t([&] {
-    auto w = lock.AcquireWrite({10, 20});
+    auto w = lock.Lock({10, 20});
     in.store(true);
-    lock.Release(w);
+    lock.Unlock(w);
   });
   EXPECT_TRUE(StaysFalse([&] { return in.load(); }));
-  lock.Release(r);
+  lock.Unlock(r);
   t.join();
   EXPECT_TRUE(in.load());
 }
@@ -92,25 +92,25 @@ TEST(TreeRangeLockTest, WriterBlocksBehindReader) {
 // (Contrast with ListRangeLockTest.NonOverlappingRequestNotBlockedBehindWaiter.)
 TEST(TreeRangeLockTest, RequestBlocksBehindOverlappingWaiter) {
   TreeRangeLock lock;
-  auto a = lock.AcquireWrite({1, 3});
+  auto a = lock.Lock({1, 3});
   std::atomic<bool> b_in{false};
   std::thread b([&] {
-    auto h = lock.AcquireWrite({2, 7});
+    auto h = lock.Lock({2, 7});
     b_in.store(true);
-    lock.Release(h);
+    lock.Unlock(h);
   });
   // Wait until B's range is actually in the tree (waiters are inserted before they
   // spin), so C is guaranteed to find it there.
   ASSERT_TRUE(EventuallyTrue([&] { return lock.DebugTreeSizeLocked() == 2; }));
   std::atomic<bool> c_in{false};
   std::thread c([&] {
-    auto h = lock.AcquireWrite({4, 5});
+    auto h = lock.Lock({4, 5});
     c_in.store(true);
-    lock.Release(h);
+    lock.Unlock(h);
   });
   EXPECT_TRUE(StaysFalse([&] { return b_in.load() || c_in.load(); }))
       << "kernel tree lock admits C ahead of waiter B — FIFO broken";
-  lock.Release(a);
+  lock.Unlock(a);
   b.join();
   c.join();
   EXPECT_TRUE(b_in.load());
@@ -121,8 +121,8 @@ TEST(TreeRangeLockTest, SpinWaitStatsRecord) {
   TreeRangeLock lock;
   WaitStats stats;
   lock.SetSpinWaitStats(&stats);
-  auto h = lock.AcquireWrite({0, 10});
-  lock.Release(h);
+  auto h = lock.Lock({0, 10});
+  lock.Unlock(h);
   // One internal spin-lock acquisition each for acquire and release.
   EXPECT_EQ(stats.WriteCount(), 2u);
   lock.SetSpinWaitStats(nullptr);
@@ -144,15 +144,15 @@ TEST(TreeRangeLockTest, StressRandomRanges) {
         }
         const Range r{a, b + 1};
         if (rng.NextChance(0.3)) {
-          auto h = lock.AcquireWrite(r);
+          auto h = lock.Lock(r);
           oracle.EnterWrite(r);
           oracle.ExitWrite(r);
-          lock.Release(h);
+          lock.Unlock(h);
         } else {
-          auto h = lock.AcquireRead(r);
+          auto h = lock.Lock(r, LockMode::kRead);
           oracle.EnterRead(r);
           oracle.ExitRead(r);
-          lock.Release(h);
+          lock.Unlock(h);
         }
       }
     });
@@ -166,29 +166,29 @@ TEST(TreeRangeLockTest, StressRandomRanges) {
 
 TEST(SegmentRangeLockTest, BasicAcquireRelease) {
   SegmentRangeLock lock(1024, 16);
-  auto h = lock.AcquireWrite({0, 64});  // exactly one segment
+  auto h = lock.Lock({0, 64});  // exactly one segment
   EXPECT_EQ(h.first_seg, 0u);
   EXPECT_EQ(h.last_seg, 0u);
-  lock.Release(h);
-  auto h2 = lock.AcquireWrite({0, 65});  // spills into the second segment
+  lock.Unlock(h);
+  auto h2 = lock.Lock({0, 65});  // spills into the second segment
   EXPECT_EQ(h2.last_seg, 1u);
-  lock.Release(h2);
+  lock.Unlock(h2);
 }
 
 TEST(SegmentRangeLockTest, FullRangeTakesEverySegment) {
   SegmentRangeLock lock(1024, 16);
-  auto h = lock.AcquireWrite(Range::Full());
+  auto h = lock.Lock(Range::Full());
   EXPECT_EQ(h.first_seg, 0u);
   EXPECT_EQ(h.last_seg, 15u);
   // Nothing else can get in anywhere.
   std::atomic<bool> in{false};
   std::thread t([&] {
-    auto h2 = lock.AcquireRead({512, 513});
+    auto h2 = lock.Lock({512, 513}, LockMode::kRead);
     in.store(true);
-    lock.Release(h2);
+    lock.Unlock(h2);
   });
   EXPECT_TRUE(StaysFalse([&] { return in.load(); }));
-  lock.Release(h);
+  lock.Unlock(h);
   t.join();
   EXPECT_TRUE(in.load());
 }
@@ -197,15 +197,15 @@ TEST(SegmentRangeLockTest, FalseSharingWithinSegment) {
   // Two disjoint ranges inside the same segment serialize — the granularity cost the
   // paper attributes to this design.
   SegmentRangeLock lock(1024, 16);
-  auto h = lock.AcquireWrite({0, 8});
+  auto h = lock.Lock({0, 8});
   std::atomic<bool> in{false};
   std::thread t([&] {
-    auto h2 = lock.AcquireWrite({32, 40});  // same segment 0
+    auto h2 = lock.Lock({32, 40});  // same segment 0
     in.store(true);
-    lock.Release(h2);
+    lock.Unlock(h2);
   });
   EXPECT_TRUE(StaysFalse([&] { return in.load(); }));
-  lock.Release(h);
+  lock.Unlock(h);
   t.join();
   EXPECT_TRUE(in.load());
 }
@@ -215,25 +215,25 @@ TEST(SegmentRangeLockTest, FalseSharingWithinSegment) {
 // starve it — the mirror of RwSemaphoreTest.TimedWriterGetsPreferenceOverNewReaders.
 TEST(SegmentRangeLockTest, TimedReadersDeferToQueuedWriter) {
   SegmentRangeLock lock(1024, 16);
-  auto r = lock.AcquireRead({0, 8});
+  auto r = lock.Lock({0, 8}, LockMode::kRead);
   std::atomic<bool> writer_done{false};
   std::thread writer([&] {
-    auto h = lock.AcquireWrite({0, 8});
+    auto h = lock.Lock({0, 8});
     writer_done.store(true);
-    lock.Release(h);
+    lock.Unlock(h);
   });
   // Once the writer has queued on segment 0, a timed read of the same segment fails
   // fast instead of being admitted past it. (A probe that does get in lets go again.)
   EXPECT_TRUE(EventuallyTrue([&] {
     SegmentRangeLock::Handle h;
-    if (lock.AcquireReadFor({0, 8}, 0ms, &h)) {
-      lock.Release(h);
+    if (lock.LockFor({0, 8}, 0ms, &h, LockMode::kRead)) {
+      lock.Unlock(h);
       return false;
     }
     return true;
   }));
   EXPECT_FALSE(writer_done.load());
-  lock.Release(r);  // last reader leaves; the queued writer must admit
+  lock.Unlock(r);  // last reader leaves; the queued writer must admit
   writer.join();
   EXPECT_TRUE(writer_done.load());
 }
@@ -242,25 +242,25 @@ TEST(SegmentRangeLockTest, TimedReadersDeferToQueuedWriter) {
 // past it for its whole timeout.
 TEST(SegmentRangeLockTest, TimedWriterGetsPreferenceOverNewReaders) {
   SegmentRangeLock lock(1024, 16);
-  auto r = lock.AcquireRead({0, 8});
+  auto r = lock.Lock({0, 8}, LockMode::kRead);
   std::atomic<bool> writer_done{false};
   std::thread writer([&] {
     SegmentRangeLock::Handle h;
-    if (lock.AcquireWriteFor({0, 8}, 60s, &h)) {
+    if (lock.LockFor({0, 8}, 60s, &h)) {
       writer_done.store(true);
-      lock.Release(h);
+      lock.Unlock(h);
     }
   });
   EXPECT_TRUE(EventuallyTrue([&] {
     SegmentRangeLock::Handle h;
-    if (lock.TryAcquireRead({0, 8}, &h)) {
-      lock.Release(h);
+    if (lock.TryLock({0, 8}, &h, LockMode::kRead)) {
+      lock.Unlock(h);
       return false;
     }
     return true;
   }));
   EXPECT_FALSE(writer_done.load());
-  lock.Release(r);
+  lock.Unlock(r);
   writer.join();
   EXPECT_TRUE(writer_done.load());
 }
@@ -281,15 +281,15 @@ TEST(SegmentRangeLockTest, StressNoDeadlockMixedWidths) {
           continue;
         }
         if (rng.NextChance(0.4)) {
-          auto h = lock.AcquireWrite(r);
+          auto h = lock.Lock(r);
           oracle.EnterWrite(r);
           oracle.ExitWrite(r);
-          lock.Release(h);
+          lock.Unlock(h);
         } else {
-          auto h = lock.AcquireRead(r);
+          auto h = lock.Lock(r, LockMode::kRead);
           oracle.EnterRead(r);
           oracle.ExitRead(r);
-          lock.Release(h);
+          lock.Unlock(h);
         }
       }
     });

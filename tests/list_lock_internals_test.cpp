@@ -116,12 +116,12 @@ TEST(ListLockInternalsTest, MultipleLocksShareEpochDomain) {
         }
         const Range r{a, b + 1};
         if (rng.NextChance(0.4)) {
-          auto h = locks[li]->LockWrite(r);
+          auto h = locks[li]->Lock(r);
           oracles[li]->EnterWrite(r);
           oracles[li]->ExitWrite(r);
           locks[li]->Unlock(h);
         } else {
-          auto h = locks[li]->LockRead(r);
+          auto h = locks[li]->Lock(r, LockMode::kRead);
           oracles[li]->EnterRead(r);
           oracles[li]->ExitRead(r);
           locks[li]->Unlock(h);
@@ -175,17 +175,17 @@ TEST(ListLockInternalsTest, FastPathConversionHandoffStress) {
 // neither pool list: see FastPathRearmsAfterContention in their suites.)
 TEST(ListLockInternalsTest, RwSlowPathNeverRearmsFastPath) {
   ListRwRangeLock lock(ListRwRangeLock::Options{.enable_fast_path = true});
-  auto fast = lock.LockWrite({0, 4});
-  auto behind = lock.LockWrite({8, 12});  // strips the fast holder's mark
+  auto fast = lock.Lock({0, 4});
+  auto behind = lock.Lock({8, 12});  // strips the fast holder's mark
   ASSERT_EQ(lock.DebugHeldCount(), 2);
   lock.Unlock(fast);
   lock.Unlock(behind);                   // neither can fast-release: marked residue
-  lock.Unlock(lock.LockWrite({0, 16}));  // slow: sweeps the residue, list empty again
+  lock.Unlock(lock.Lock({0, 16}));  // slow: sweeps the residue, list empty again
   NodePool<LNode>& pool = NodePool<LNode>::Local();
   const std::size_t active = pool.ActiveSize();
   const std::size_t reclaimed = pool.ReclaimedSize();
   for (int i = 0; i < 16; ++i) {
-    lock.Unlock(lock.LockWrite({0, 16}));
+    lock.Unlock(lock.Lock({0, 16}));
   }
   EXPECT_TRUE(pool.ActiveSize() != active || pool.ReclaimedSize() != reclaimed)
       << "every cycle recycled eagerly: the slow path re-armed the fast path";
@@ -207,7 +207,7 @@ TEST(ListLockInternalsTest, FullRangeWriterVsFineReaders) {
       while (!stop.load()) {
         const uint64_t a = rng.NextBelow(kUniverse);
         const Range r{a, a + 1};
-        auto h = lock.LockRead(r);
+        auto h = lock.Lock(r, LockMode::kRead);
         oracle.EnterRead(r);
         oracle.ExitRead(r);
         lock.Unlock(h);
@@ -215,7 +215,7 @@ TEST(ListLockInternalsTest, FullRangeWriterVsFineReaders) {
     });
   }
   for (int i = 0; i < 2000; ++i) {
-    auto h = lock.LockWrite(Range::Full());
+    auto h = lock.Lock(Range::Full());
     oracle.EnterWrite({0, kUniverse});
     oracle.ExitWrite({0, kUniverse});
     lock.Unlock(h);

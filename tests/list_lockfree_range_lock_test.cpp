@@ -143,7 +143,7 @@ TEST(ListLockFreeRangeLockTest, OverlappingGuardedCounterNeverTears) {
         // Alternate narrow and wide overlapping ranges so multi-bucket and
         // single-bucket acquisitions exclude each other.
         const Range r = (i + t) % 3 == 0 ? Range{0, 64} : Range{4, 8};
-        ListLockFreeRangeLock::Guard g(lock, r);
+        RangeGuard g(lock, r);
         ++counter;
       }
     });
@@ -270,14 +270,14 @@ TEST(ListLockFreeRangeLockTest, OversubscribedFullChainsStayLive) {
       start.arrive_and_wait();
       for (int i = 0; i < kIters; ++i) {
         if (rng.NextBelow(8) == 0) {
-          ListLockFreeRangeLock::Guard g(lock, Range::Full());
+          RangeGuard g(lock, Range::Full());
           for (uint64_t& c : counts) {
             ++c;
           }
           ++fulls[t];
         } else {
           const uint64_t w = rng.NextBelow(kWindows);
-          ListLockFreeRangeLock::Guard g(lock, {w, w + 1});
+          RangeGuard g(lock, {w, w + 1});
           ++counts[w];
           ++points[t][w];
         }

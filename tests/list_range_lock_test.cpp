@@ -242,7 +242,7 @@ TEST_P(ListExStressTest, RandomRangesNeverOverlap) {
   };
 
   if (param.fair) {
-    FairListRangeLock lock(FairListRangeLock::Options{
+    FairRangeLock<ListRangeLock> lock(FairRangeLock<ListRangeLock>::Options{
         .inner = {.enable_fast_path = param.fast_path}, .patience = 4});
     run(lock);
   } else {

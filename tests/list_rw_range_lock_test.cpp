@@ -20,10 +20,10 @@ using testing::StaysFalse;
 
 TEST(ListRwRangeLockTest, ReadWriteSingleThread) {
   ListRwRangeLock lock;
-  auto r = lock.LockRead({0, 10});
+  auto r = lock.Lock({0, 10}, LockMode::kRead);
   ASSERT_NE(r, nullptr);
   lock.Unlock(r);
-  auto w = lock.LockWrite({0, 10});
+  auto w = lock.Lock({0, 10});
   ASSERT_NE(w, nullptr);
   lock.Unlock(w);
   EXPECT_EQ(lock.DebugHeldCount(), 0);
@@ -31,10 +31,10 @@ TEST(ListRwRangeLockTest, ReadWriteSingleThread) {
 
 TEST(ListRwRangeLockTest, OverlappingReadersShare) {
   ListRwRangeLock lock;
-  auto r1 = lock.LockRead({0, 100});
+  auto r1 = lock.Lock({0, 100}, LockMode::kRead);
   std::atomic<bool> second_in{false};
   std::thread t([&] {
-    auto r2 = lock.LockRead({50, 150});  // overlaps r1; must not block
+    auto r2 = lock.Lock({50, 150}, LockMode::kRead);  // overlaps r1; must not block
     second_in.store(true);
     lock.Unlock(r2);
   });
@@ -45,8 +45,8 @@ TEST(ListRwRangeLockTest, OverlappingReadersShare) {
 
 TEST(ListRwRangeLockTest, SameRangeReadersShare) {
   ListRwRangeLock lock;
-  auto r1 = lock.LockRead({0, 10});
-  auto r2 = lock.LockRead({0, 10});  // identical range, same start — still shared
+  auto r1 = lock.Lock({0, 10}, LockMode::kRead);
+  auto r2 = lock.Lock({0, 10}, LockMode::kRead);  // same range, same start: still shared
   EXPECT_EQ(lock.DebugHeldCount(), 2);
   lock.Unlock(r1);
   lock.Unlock(r2);
@@ -54,10 +54,10 @@ TEST(ListRwRangeLockTest, SameRangeReadersShare) {
 
 TEST(ListRwRangeLockTest, WriterBlocksOverlappingReader) {
   ListRwRangeLock lock;
-  auto w = lock.LockWrite({0, 100});
+  auto w = lock.Lock({0, 100});
   std::atomic<bool> reader_in{false};
   std::thread t([&] {
-    auto r = lock.LockRead({50, 60});
+    auto r = lock.Lock({50, 60}, LockMode::kRead);
     reader_in.store(true);
     lock.Unlock(r);
   });
@@ -69,10 +69,10 @@ TEST(ListRwRangeLockTest, WriterBlocksOverlappingReader) {
 
 TEST(ListRwRangeLockTest, ReaderBlocksOverlappingWriter) {
   ListRwRangeLock lock;
-  auto r = lock.LockRead({0, 100});
+  auto r = lock.Lock({0, 100}, LockMode::kRead);
   std::atomic<bool> writer_in{false};
   std::thread t([&] {
-    auto w = lock.LockWrite({50, 60});
+    auto w = lock.Lock({50, 60});
     writer_in.store(true);
     lock.Unlock(w);
   });
@@ -84,10 +84,10 @@ TEST(ListRwRangeLockTest, ReaderBlocksOverlappingWriter) {
 
 TEST(ListRwRangeLockTest, WritersExcludeEachOther) {
   ListRwRangeLock lock;
-  auto w1 = lock.LockWrite({0, 100});
+  auto w1 = lock.Lock({0, 100});
   std::atomic<bool> second_in{false};
   std::thread t([&] {
-    auto w2 = lock.LockWrite({50, 150});
+    auto w2 = lock.Lock({50, 150});
     second_in.store(true);
     lock.Unlock(w2);
   });
@@ -99,10 +99,10 @@ TEST(ListRwRangeLockTest, WritersExcludeEachOther) {
 
 TEST(ListRwRangeLockTest, DisjointWritersProceedInParallel) {
   ListRwRangeLock lock;
-  auto w1 = lock.LockWrite({0, 10});
+  auto w1 = lock.Lock({0, 10});
   std::atomic<bool> second_in{false};
   std::thread t([&] {
-    auto w2 = lock.LockWrite({20, 30});
+    auto w2 = lock.Lock({20, 30});
     second_in.store(true);
     lock.Unlock(w2);
   });
@@ -113,10 +113,10 @@ TEST(ListRwRangeLockTest, DisjointWritersProceedInParallel) {
 
 TEST(ListRwRangeLockTest, ReaderPastWriterRangeNotBlocked) {
   ListRwRangeLock lock;
-  auto w = lock.LockWrite({0, 10});
+  auto w = lock.Lock({0, 10});
   std::atomic<bool> reader_in{false};
   std::thread t([&] {
-    auto r = lock.LockRead({10, 20});  // adjacent — precise half-open semantics
+    auto r = lock.Lock({10, 20}, LockMode::kRead);  // adjacent: precise half-open ranges
     reader_in.store(true);
     lock.Unlock(r);
   });
@@ -141,7 +141,7 @@ TEST(ListRwRangeLockTest, Figure1RaceHammer) {
     background.emplace_back([&, base] {
       const Range r{base, base + 5};
       while (!stop.load()) {
-        auto h = lock.LockRead(r);
+        auto h = lock.Lock(r, LockMode::kRead);
         oracle.EnterRead(r);
         oracle.ExitRead(r);
         lock.Unlock(h);
@@ -152,7 +152,7 @@ TEST(ListRwRangeLockTest, Figure1RaceHammer) {
   std::thread reader([&] {
     const Range r{15, 45};  // spans the writer's target
     for (int i = 0; i < kIters; ++i) {
-      auto h = lock.LockRead(r);
+      auto h = lock.Lock(r, LockMode::kRead);
       oracle.EnterRead(r);
       oracle.ExitRead(r);
       lock.Unlock(h);
@@ -161,7 +161,7 @@ TEST(ListRwRangeLockTest, Figure1RaceHammer) {
   std::thread writer([&] {
     const Range r{30, 35};
     for (int i = 0; i < kIters; ++i) {
-      auto h = lock.LockWrite(r);
+      auto h = lock.Lock(r);
       oracle.EnterWrite(r);
       oracle.ExitWrite(r);
       lock.Unlock(h);
@@ -210,12 +210,12 @@ TEST_P(ListRwStressTest, MixedWorkloadExclusion) {
       }
       const Range r{a, b + 1};
       if (rng.NextChance(param.write_fraction)) {
-        auto h = lock.LockWrite(r);
+        auto h = lock.Lock(r);
         oracle.EnterWrite(r);
         oracle.ExitWrite(r);
         lock.Unlock(h);
       } else {
-        auto h = lock.LockRead(r);
+        auto h = lock.Lock(r, LockMode::kRead);
         oracle.EnterRead(r);
         oracle.ExitRead(r);
         lock.Unlock(h);
@@ -234,7 +234,7 @@ TEST_P(ListRwStressTest, MixedWorkloadExclusion) {
   };
 
   if (param.fair) {
-    FairListRwRangeLock lock(FairListRwRangeLock::Options{
+    FairRangeLock<ListRwRangeLock> lock(FairRangeLock<ListRwRangeLock>::Options{
         .inner = {.enable_fast_path = param.fast_path}, .patience = 4});
     run(lock);
   } else {
@@ -274,7 +274,7 @@ TEST(ListRwRangeLockTest, WriterCompletesUnderReaderStream) {
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&] {
       while (!stop.load()) {
-        auto h = lock.LockRead({0, 100});
+        auto h = lock.Lock({0, 100}, LockMode::kRead);
         lock.Unlock(h);
       }
     });
@@ -282,7 +282,7 @@ TEST(ListRwRangeLockTest, WriterCompletesUnderReaderStream) {
   std::atomic<int> writes_done{0};
   std::thread writer([&] {
     for (int i = 0; i < 200; ++i) {
-      auto h = lock.LockWrite({40, 60});
+      auto h = lock.Lock({40, 60});
       writes_done.fetch_add(1);
       lock.Unlock(h);
     }
@@ -304,11 +304,11 @@ TEST(ListRwRangeLockTest, WriterCompletesUnderReaderStream) {
 // left the list structurally sound with nothing leaked.
 TEST(ListRwRangeLockTest, TimedReaderAbortsInsideValidation) {
   ListRwRangeLock lock;
-  auto seed = lock.LockRead({2, 3});
+  auto seed = lock.Lock({2, 3}, LockMode::kRead);
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      auto h = lock.LockWrite({5, 15});
+      auto h = lock.Lock({5, 15});
       lock.Unlock(h);
     }
   });
@@ -317,7 +317,7 @@ TEST(ListRwRangeLockTest, TimedReaderAbortsInsideValidation) {
   while (lock.DebugRValidateAborts() == 0 &&
          std::chrono::steady_clock::now() < give_up) {
     ListRwRangeLock::Handle h = nullptr;
-    if (lock.LockReadFor({0, 10}, 3us, &h)) {
+    if (lock.LockFor({0, 10}, 3us, &h, LockMode::kRead)) {
       ++reader_successes;
       lock.Unlock(h);
     }
@@ -328,7 +328,7 @@ TEST(ListRwRangeLockTest, TimedReaderAbortsInsideValidation) {
   lock.Unlock(seed);
   // Whatever mix of aborts and successes the race produced, the list must be sound:
   // both ranges reacquirable, invariant intact, only residue reclaimable.
-  auto w = lock.LockWrite(Range::Full());
+  auto w = lock.Lock(Range::Full());
   lock.Unlock(w);
   EXPECT_TRUE(lock.DebugInvariantHolds());
   if (aborts == 0) {

@@ -1,5 +1,5 @@
 // Conformance suite: every range-lock implementation in the repository must satisfy the
-// same behavioural contract. Run as typed tests over the adapters of
+// same behavioural contract. Run as typed tests over the presets of
 // src/harness/lock_adapters.h, so any new lock added to the repo gets the full battery
 // by appending one line to the type list.
 #include <atomic>
@@ -52,15 +52,15 @@ class LockNames {
 TYPED_TEST_SUITE(LockConformanceTest, AllLocks, LockNames);
 
 TYPED_TEST(LockConformanceTest, WriteAcquireRelease) {
-  auto h = this->adapter_.AcquireWrite({0, 100});
-  this->adapter_.Release(h);
-  auto h2 = this->adapter_.AcquireWrite({0, 100});  // reacquirable
-  this->adapter_.Release(h2);
+  auto h = this->adapter_.Lock({0, 100});
+  this->adapter_.Unlock(h);
+  auto h2 = this->adapter_.Lock({0, 100});  // reacquirable
+  this->adapter_.Unlock(h2);
 }
 
 TYPED_TEST(LockConformanceTest, ReadAcquireRelease) {
-  auto h = this->adapter_.AcquireRead({0, 100});
-  this->adapter_.Release(h);
+  auto h = this->adapter_.Lock({0, 100}, LockMode::kRead);
+  this->adapter_.Unlock(h);
 }
 
 TYPED_TEST(LockConformanceTest, OverlappingWritersExclude) {
@@ -77,10 +77,10 @@ TYPED_TEST(LockConformanceTest, OverlappingWritersExclude) {
           std::swap(a, b);
         }
         const Range r{a, b + 1};
-        auto h = this->adapter_.AcquireWrite(r);
+        auto h = this->adapter_.Lock(r);
         oracle.EnterWrite(r);
         oracle.ExitWrite(r);
-        this->adapter_.Release(h);
+        this->adapter_.Unlock(h);
       }
     });
   }
@@ -106,15 +106,15 @@ TYPED_TEST(LockConformanceTest, ReadersAndWritersExclude) {
         }
         const Range r{a, b + 1};
         if (rng.NextChance(0.3)) {
-          auto h = this->adapter_.AcquireWrite(r);
+          auto h = this->adapter_.Lock(r);
           oracle.EnterWrite(r);
           oracle.ExitWrite(r);
-          this->adapter_.Release(h);
+          this->adapter_.Unlock(h);
         } else {
-          auto h = this->adapter_.AcquireRead(r);
+          auto h = this->adapter_.Lock(r, LockMode::kRead);
           oracle.EnterRead(r);
           oracle.ExitRead(r);
-          this->adapter_.Release(h);
+          this->adapter_.Unlock(h);
         }
       }
     });
@@ -130,42 +130,42 @@ TYPED_TEST(LockConformanceTest, OverlappingReadersShareIfSupported) {
   if (!TypeParam::kSharedReaders) {
     GTEST_SKIP() << "exclusive-only lock";
   }
-  auto r1 = this->adapter_.AcquireRead({0, 50});
+  auto r1 = this->adapter_.Lock({0, 50}, LockMode::kRead);
   std::atomic<bool> in{false};
   std::thread t([&] {
-    auto r2 = this->adapter_.AcquireRead({25, 75});
+    auto r2 = this->adapter_.Lock({25, 75}, LockMode::kRead);
     in.store(true);
-    this->adapter_.Release(r2);
+    this->adapter_.Unlock(r2);
   });
   t.join();  // completes while r1 is held
   EXPECT_TRUE(in.load());
-  this->adapter_.Release(r1);
+  this->adapter_.Unlock(r1);
 }
 
 TYPED_TEST(LockConformanceTest, WriterBlockedUntilOverlapReleased) {
-  auto h = this->adapter_.AcquireWrite({10, 20});
+  auto h = this->adapter_.Lock({10, 20});
   std::atomic<bool> in{false};
   std::thread t([&] {
-    auto h2 = this->adapter_.AcquireWrite({15, 25});
+    auto h2 = this->adapter_.Lock({15, 25});
     in.store(true);
-    this->adapter_.Release(h2);
+    this->adapter_.Unlock(h2);
   });
   EXPECT_TRUE(StaysFalse([&] { return in.load(); }));
-  this->adapter_.Release(h);
+  this->adapter_.Unlock(h);
   t.join();
   EXPECT_TRUE(in.load());
 }
 
 TYPED_TEST(LockConformanceTest, FullRangeIsExclusiveAgainstAll) {
-  auto h = this->adapter_.AcquireWrite(Range::Full());
+  auto h = this->adapter_.Lock(Range::Full());
   std::atomic<bool> in{false};
   std::thread t([&] {
-    auto h2 = this->adapter_.AcquireWrite({5, 6});
+    auto h2 = this->adapter_.Lock({5, 6});
     in.store(true);
-    this->adapter_.Release(h2);
+    this->adapter_.Unlock(h2);
   });
   EXPECT_TRUE(StaysFalse([&] { return in.load(); }));
-  this->adapter_.Release(h);
+  this->adapter_.Unlock(h);
   t.join();
   EXPECT_TRUE(in.load());
 }
@@ -176,11 +176,11 @@ TYPED_TEST(LockConformanceTest, ManySequentialAcquisitions) {
     uint64_t a = rng.NextBelow(64);
     const Range r{a, a + 1 + rng.NextBelow(16)};
     if (i % 2 == 0) {
-      auto h = this->adapter_.AcquireWrite(r);
-      this->adapter_.Release(h);
+      auto h = this->adapter_.Lock(r);
+      this->adapter_.Unlock(h);
     } else {
-      auto h = this->adapter_.AcquireRead(r);
-      this->adapter_.Release(h);
+      auto h = this->adapter_.Lock(r, LockMode::kRead);
+      this->adapter_.Unlock(h);
     }
   }
 }
@@ -189,28 +189,28 @@ TYPED_TEST(LockConformanceTest, DisjointWritersRunConcurrently) {
   if (!TypeParam::kPrecise) {
     GTEST_SKIP() << "coarse-grained lock may serialize disjoint ranges";
   }
-  auto h = this->adapter_.AcquireWrite({0, 10});
+  auto h = this->adapter_.Lock({0, 10});
   std::atomic<bool> in{false};
   std::thread t([&] {
-    auto h2 = this->adapter_.AcquireWrite({100, 110});
+    auto h2 = this->adapter_.Lock({100, 110});
     in.store(true);
-    this->adapter_.Release(h2);
+    this->adapter_.Unlock(h2);
   });
   t.join();  // must complete while [0,10) is still held
   EXPECT_TRUE(in.load());
-  this->adapter_.Release(h);
+  this->adapter_.Unlock(h);
 }
 
 TYPED_TEST(LockConformanceTest, HandleReleasableByAnotherThread) {
   // The Lock/Unlock contract is ownership-by-handle, not ownership-by-thread: a range
   // acquired here must be releasable from any thread (the VM layer hands handles across
   // worker threads this way).
-  auto h = this->adapter_.AcquireWrite({10, 20});
-  std::thread t([&] { this->adapter_.Release(h); });
+  auto h = this->adapter_.Lock({10, 20});
+  std::thread t([&] { this->adapter_.Unlock(h); });
   t.join();
   // The range must actually be free again.
-  auto h2 = this->adapter_.AcquireWrite({10, 20});
-  this->adapter_.Release(h2);
+  auto h2 = this->adapter_.Lock({10, 20});
+  this->adapter_.Unlock(h2);
 }
 
 TYPED_TEST(LockConformanceTest, OutOfOrderRelease) {
@@ -218,87 +218,87 @@ TYPED_TEST(LockConformanceTest, OutOfOrderRelease) {
     GTEST_SKIP() << "coarse-grained lock may serialize disjoint ranges";
   }
   // Acquisition order must impose no release order.
-  auto h1 = this->adapter_.AcquireWrite({0, 10});
-  auto h2 = this->adapter_.AcquireWrite({20, 30});
-  auto h3 = this->adapter_.AcquireWrite({40, 50});
-  this->adapter_.Release(h2);
-  auto h4 = this->adapter_.AcquireWrite({20, 30});  // middle range is free again
-  this->adapter_.Release(h1);
-  this->adapter_.Release(h4);
-  this->adapter_.Release(h3);
+  auto h1 = this->adapter_.Lock({0, 10});
+  auto h2 = this->adapter_.Lock({20, 30});
+  auto h3 = this->adapter_.Lock({40, 50});
+  this->adapter_.Unlock(h2);
+  auto h4 = this->adapter_.Lock({20, 30});  // middle range is free again
+  this->adapter_.Unlock(h1);
+  this->adapter_.Unlock(h4);
+  this->adapter_.Unlock(h3);
 }
 
-// --- Non-blocking (TryAcquire*) and timed (Acquire*For) conformance ---
+// --- Non-blocking (TryLock) and timed (LockFor) conformance ---
 
 TYPED_TEST(LockConformanceTest, TryAcquireConflictFailsWithoutBlocking) {
   // Called from the thread that already holds the conflicting range: if the try
   // acquisition blocked, this test would deadlock rather than fail.
-  auto h = this->adapter_.AcquireWrite({10, 20});
+  auto h = this->adapter_.Lock({10, 20});
   typename TypeParam::Handle t{};
-  EXPECT_FALSE(this->adapter_.TryAcquireWrite({15, 25}, &t));
-  EXPECT_FALSE(this->adapter_.TryAcquireRead({15, 25}, &t));
-  this->adapter_.Release(h);
+  EXPECT_FALSE(this->adapter_.TryLock({15, 25}, &t));
+  EXPECT_FALSE(this->adapter_.TryLock({15, 25}, &t, LockMode::kRead));
+  this->adapter_.Unlock(h);
   // The failed attempts held nothing: the range must be immediately reacquirable.
-  ASSERT_TRUE(this->adapter_.TryAcquireWrite({15, 25}, &t));
-  this->adapter_.Release(t);
+  ASSERT_TRUE(this->adapter_.TryLock({15, 25}, &t));
+  this->adapter_.Unlock(t);
 }
 
 TYPED_TEST(LockConformanceTest, TryAcquireFullRangeConflictFails) {
-  auto h = this->adapter_.AcquireWrite(Range::Full());
+  auto h = this->adapter_.Lock(Range::Full());
   typename TypeParam::Handle t{};
-  EXPECT_FALSE(this->adapter_.TryAcquireWrite({5, 6}, &t));
-  EXPECT_FALSE(this->adapter_.TryAcquireRead({5, 6}, &t));
-  this->adapter_.Release(h);
+  EXPECT_FALSE(this->adapter_.TryLock({5, 6}, &t));
+  EXPECT_FALSE(this->adapter_.TryLock({5, 6}, &t, LockMode::kRead));
+  this->adapter_.Unlock(h);
 }
 
 TYPED_TEST(LockConformanceTest, TryAcquireDisjointSucceeds) {
   if (!TypeParam::kPrecise) {
     GTEST_SKIP() << "coarse-grained lock may fail try acquisitions of disjoint ranges";
   }
-  auto h = this->adapter_.AcquireWrite({0, 10});
+  auto h = this->adapter_.Lock({0, 10});
   typename TypeParam::Handle t1{};
   typename TypeParam::Handle t2{};
-  ASSERT_TRUE(this->adapter_.TryAcquireWrite({100, 110}, &t1));
-  ASSERT_TRUE(this->adapter_.TryAcquireRead({200, 210}, &t2));
-  this->adapter_.Release(t2);
-  this->adapter_.Release(t1);
-  this->adapter_.Release(h);
+  ASSERT_TRUE(this->adapter_.TryLock({100, 110}, &t1));
+  ASSERT_TRUE(this->adapter_.TryLock({200, 210}, &t2, LockMode::kRead));
+  this->adapter_.Unlock(t2);
+  this->adapter_.Unlock(t1);
+  this->adapter_.Unlock(h);
 }
 
 TYPED_TEST(LockConformanceTest, TryAcquireUncontendedSucceeds) {
   typename TypeParam::Handle t{};
-  ASSERT_TRUE(this->adapter_.TryAcquireWrite({10, 20}, &t));
-  this->adapter_.Release(t);
-  ASSERT_TRUE(this->adapter_.TryAcquireRead({10, 20}, &t));
-  this->adapter_.Release(t);
+  ASSERT_TRUE(this->adapter_.TryLock({10, 20}, &t));
+  this->adapter_.Unlock(t);
+  ASSERT_TRUE(this->adapter_.TryLock({10, 20}, &t, LockMode::kRead));
+  this->adapter_.Unlock(t);
 }
 
 TYPED_TEST(LockConformanceTest, TryReadSharesWithReaderIfSupported) {
   if (!TypeParam::kSharedReaders) {
     GTEST_SKIP() << "exclusive-only lock";
   }
-  auto r1 = this->adapter_.AcquireRead({0, 50});
+  auto r1 = this->adapter_.Lock({0, 50}, LockMode::kRead);
   typename TypeParam::Handle r2{};
-  ASSERT_TRUE(this->adapter_.TryAcquireRead({25, 75}, &r2));
-  this->adapter_.Release(r2);
-  this->adapter_.Release(r1);
+  ASSERT_TRUE(this->adapter_.TryLock({25, 75}, &r2, LockMode::kRead));
+  this->adapter_.Unlock(r2);
+  this->adapter_.Unlock(r1);
 }
 
 TYPED_TEST(LockConformanceTest, TimedAcquireConflictTimesOut) {
   using namespace std::chrono;
   const auto timeout = 20ms;
-  auto h = this->adapter_.AcquireWrite({10, 20});
+  auto h = this->adapter_.Lock({10, 20});
   typename TypeParam::Handle t{};
   const auto t0 = steady_clock::now();
-  EXPECT_FALSE(this->adapter_.AcquireWriteFor({15, 25}, timeout, &t));
+  EXPECT_FALSE(this->adapter_.LockFor({15, 25}, timeout, &t));
   // The deadline is a lower bound on the wait (Expired() is now >= when); no upper
   // bound is asserted — sanitizers and oversubscribed CI dilate time freely.
   EXPECT_GE(steady_clock::now() - t0, timeout);
-  EXPECT_FALSE(this->adapter_.AcquireReadFor({15, 25}, timeout, &t));
-  this->adapter_.Release(h);
+  EXPECT_FALSE(this->adapter_.LockFor({15, 25}, timeout, &t, LockMode::kRead));
+  this->adapter_.Unlock(h);
   // With the conflict gone the same timed acquisition succeeds.
-  ASSERT_TRUE(this->adapter_.AcquireWriteFor({15, 25}, timeout, &t));
-  this->adapter_.Release(t);
+  ASSERT_TRUE(this->adapter_.LockFor({15, 25}, timeout, &t));
+  this->adapter_.Unlock(t);
 }
 
 TYPED_TEST(LockConformanceTest, TimedAcquireDisjointSucceeds) {
@@ -306,28 +306,28 @@ TYPED_TEST(LockConformanceTest, TimedAcquireDisjointSucceeds) {
     GTEST_SKIP() << "coarse-grained lock may serialize disjoint ranges";
   }
   using namespace std::chrono;
-  auto h = this->adapter_.AcquireWrite({0, 10});
+  auto h = this->adapter_.Lock({0, 10});
   typename TypeParam::Handle t{};
-  ASSERT_TRUE(this->adapter_.AcquireWriteFor({100, 110}, 10ms, &t));
-  this->adapter_.Release(t);
-  this->adapter_.Release(h);
+  ASSERT_TRUE(this->adapter_.LockFor({100, 110}, 10ms, &t));
+  this->adapter_.Unlock(t);
+  this->adapter_.Unlock(h);
 }
 
 TYPED_TEST(LockConformanceTest, TimedAcquireReleasedMidWaitSucceeds) {
   // A waiter whose deadline has not yet expired must admit when the holder releases,
   // not burn the whole timeout.
   using namespace std::chrono_literals;
-  auto h = this->adapter_.AcquireWrite({10, 20});
+  auto h = this->adapter_.Lock({10, 20});
   std::atomic<bool> got{false};
   std::thread t([&] {
     typename TypeParam::Handle th{};
-    if (this->adapter_.AcquireWriteFor({15, 25}, 60s, &th)) {
+    if (this->adapter_.LockFor({15, 25}, 60s, &th)) {
       got.store(true);
-      this->adapter_.Release(th);
+      this->adapter_.Unlock(th);
     }
   });
   EXPECT_TRUE(StaysFalse([&] { return got.load(); }));
-  this->adapter_.Release(h);
+  this->adapter_.Unlock(h);
   t.join();
   EXPECT_TRUE(got.load());
 }
@@ -343,14 +343,14 @@ TYPED_TEST(LockConformanceTest, AbortedWaiterLeaksNoListNode) {
   // lock-free adapter's 4-unit windows) to cover every bucket of a bucketed lock —
   // a one-bucket anchor would leave the other buckets' fast paths live and the sweep
   // residue would vary with which buckets the storm dirtied.
-  auto anchor = this->adapter_.AcquireWrite({1000, 1064});
+  auto anchor = this->adapter_.Lock({1000, 1064});
   // sweep(): a write acquisition covering every range this test uses traverses the
   // list, unlinking all marked nodes into this thread's pool; its own release then
   // leaves exactly one marked node behind. Sweeping before each measurement makes the
   // in-list residue constant, so pool-total conservation is exact.
   auto sweep = [&] {
-    auto h = this->adapter_.AcquireWrite({0, 100});
-    this->adapter_.Release(h);
+    auto h = this->adapter_.Lock({0, 100});
+    this->adapter_.Unlock(h);
   };
   auto pool_total = [] {
     auto& pool = NodePool<LNode>::Local();
@@ -358,21 +358,21 @@ TYPED_TEST(LockConformanceTest, AbortedWaiterLeaksNoListNode) {
   };
   sweep();
   const std::size_t baseline = pool_total();
-  auto h = this->adapter_.AcquireWrite({0, 10});
+  auto h = this->adapter_.Lock({0, 10});
   typename TypeParam::Handle t{};
   for (int i = 0; i < 32; ++i) {
-    EXPECT_FALSE(this->adapter_.TryAcquireWrite({5, 15}, &t));
-    EXPECT_FALSE(this->adapter_.TryAcquireRead({5, 15}, &t));
-    EXPECT_FALSE(this->adapter_.AcquireWriteFor({5, 15}, 1ms, &t));
-    EXPECT_FALSE(this->adapter_.AcquireReadFor({5, 15}, 1ms, &t));
+    EXPECT_FALSE(this->adapter_.TryLock({5, 15}, &t));
+    EXPECT_FALSE(this->adapter_.TryLock({5, 15}, &t, LockMode::kRead));
+    EXPECT_FALSE(this->adapter_.LockFor({5, 15}, 1ms, &t));
+    EXPECT_FALSE(this->adapter_.LockFor({5, 15}, 1ms, &t, LockMode::kRead));
   }
-  this->adapter_.Release(h);
+  this->adapter_.Unlock(h);
   sweep();
   // Every aborted acquisition returned its node to the pool (directly, or via the
   // sweep's unlink of a self-deleted in-list node). Under ASan, an actually dropped
   // node would additionally be reported as a leak at exit.
   EXPECT_EQ(pool_total(), baseline);
-  this->adapter_.Release(anchor);
+  this->adapter_.Unlock(anchor);
 }
 
 TYPED_TEST(LockConformanceTest, StressWithOccasionalFullRange) {
@@ -389,15 +389,15 @@ TYPED_TEST(LockConformanceTest, StressWithOccasionalFullRange) {
         uint64_t a = rng.NextBelow(kUniverse);
         const Range r = full ? Range::Full() : Range{a, a + 1 + rng.NextBelow(8)};
         if (full || rng.NextChance(0.4)) {
-          auto h = this->adapter_.AcquireWrite(r);
+          auto h = this->adapter_.Lock(r);
           oracle.EnterWrite(r);
           oracle.ExitWrite(r);
-          this->adapter_.Release(h);
+          this->adapter_.Unlock(h);
         } else {
-          auto h = this->adapter_.AcquireRead(r);
+          auto h = this->adapter_.Lock(r, LockMode::kRead);
           oracle.EnterRead(r);
           oracle.ExitRead(r);
-          this->adapter_.Release(h);
+          this->adapter_.Unlock(h);
         }
       }
     });

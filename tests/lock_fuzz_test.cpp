@@ -1,4 +1,4 @@
-// Randomized oracle fuzz battery over every lock adapter (CTest label: stress).
+// Randomized oracle fuzz battery over every lock preset (CTest label: stress).
 //
 // Two complementary fuzzers:
 //   * MixedModeVsOracle — several threads drive a seeded mix of blocking, try and timed
@@ -85,18 +85,18 @@ TYPED_TEST(LockFuzzTest, MixedModeVsOracle) {
           typename TypeParam::Handle h{};
           bool held = false;
           if (mode < 4) {  // blocking
-            h = write ? adapter.AcquireWrite(r) : adapter.AcquireRead(r);
+            h = write ? adapter.Lock(r) : adapter.Lock(r, LockMode::kRead);
             held = true;
           } else if (mode < 7) {  // try
-            held = write ? adapter.TryAcquireWrite(r, &h)
-                         : adapter.TryAcquireRead(r, &h);
+            held = write ? adapter.TryLock(r, &h)
+                         : adapter.TryLock(r, &h, LockMode::kRead);
             (held ? try_successes : try_failures).fetch_add(1,
                                                             std::memory_order_relaxed);
           } else {  // timed, 0–100us
             const auto timeout =
                 std::chrono::microseconds(rng.NextBelow(100));
-            held = write ? adapter.AcquireWriteFor(r, timeout, &h)
-                         : adapter.AcquireReadFor(r, timeout, &h);
+            held = write ? adapter.LockFor(r, timeout, &h)
+                         : adapter.LockFor(r, timeout, &h, LockMode::kRead);
           }
           if (held) {
             if (write || !TypeParam::kSharedReaders) {
@@ -106,7 +106,7 @@ TYPED_TEST(LockFuzzTest, MixedModeVsOracle) {
               oracle.EnterRead(r);
               oracle.ExitRead(r);
             }
-            adapter.Release(h);
+            adapter.Unlock(h);
           }
         }
       });
@@ -141,7 +141,7 @@ TYPED_TEST(LockFuzzTest, SingleThreadTryExactness) {
     for (int i = 0; i < kOps; ++i) {
       if (!held.empty() && (held.size() >= 8 || rng.NextChance(0.4))) {
         const std::size_t idx = rng.NextBelow(held.size());
-        adapter.Release(held[idx].h);
+        adapter.Unlock(held[idx].h);
         held[idx] = held.back();
         held.pop_back();
         continue;
@@ -165,11 +165,11 @@ TYPED_TEST(LockFuzzTest, SingleThreadTryExactness) {
       bool got;
       if (rng.NextChance(0.25)) {  // sprinkle timed acquisitions in
         const auto timeout = conflict ? 300us : 50ms;
-        got = write ? adapter.AcquireWriteFor(r, timeout, &h)
-                    : adapter.AcquireReadFor(r, timeout, &h);
+        got = write ? adapter.LockFor(r, timeout, &h)
+                    : adapter.LockFor(r, timeout, &h, LockMode::kRead);
       } else {
-        got = write ? adapter.TryAcquireWrite(r, &h)
-                    : adapter.TryAcquireRead(r, &h);
+        got = write ? adapter.TryLock(r, &h)
+                    : adapter.TryLock(r, &h, LockMode::kRead);
       }
       ASSERT_EQ(got, !conflict)
           << "seed=0x" << std::hex << seed << std::dec << " op=" << i << " range=["
@@ -181,7 +181,7 @@ TYPED_TEST(LockFuzzTest, SingleThreadTryExactness) {
       }
     }
     for (const Held& x : held) {
-      adapter.Release(x.h);
+      adapter.Unlock(x.h);
     }
     EXPECT_GT(expected_failures, 0) << "seed=0x" << std::hex << seed;
 
@@ -201,35 +201,35 @@ TYPED_TEST(LockFuzzTest, SingleThreadTryExactness) {
       // Always-held disjoint anchor: keeps the fast path out of play so every
       // acquisition below goes through the list and the sweep residue is constant.
       // 64 units = all 16 buckets of the bucketed lock-free adapter (4-unit windows).
-      auto anchor = adapter.AcquireWrite({1000, 1064});
+      auto anchor = adapter.Lock({1000, 1064});
       // Covers every range the storm uses; unlinks all marked residue, leaving a
       // constant number of freshly marked sweep nodes behind.
       auto sweep = [&] {
-        auto h = adapter.AcquireWrite({0, 100});
-        adapter.Release(h);
+        auto h = adapter.Lock({0, 100});
+        adapter.Unlock(h);
       };
       sweep();
       const std::size_t baseline = pool_total();
-      auto held_h = adapter.AcquireWrite({0, 10});
+      auto held_h = adapter.Lock({0, 10});
       for (int i = 0; i < 32; ++i) {
         typename TypeParam::Handle t{};
         // Model: {5,15} overlaps the held {0,10} — every acquisition mode must fail
         // and hold nothing.
-        EXPECT_FALSE(adapter.TryAcquireWrite({5, 15}, &t));
-        EXPECT_FALSE(adapter.TryAcquireRead({5, 15}, &t));
-        EXPECT_FALSE(adapter.AcquireWriteFor({5, 15}, 300us, &t));
-        EXPECT_FALSE(adapter.AcquireReadFor({5, 15}, 300us, &t));
+        EXPECT_FALSE(adapter.TryLock({5, 15}, &t));
+        EXPECT_FALSE(adapter.TryLock({5, 15}, &t, LockMode::kRead));
+        EXPECT_FALSE(adapter.LockFor({5, 15}, 300us, &t));
+        EXPECT_FALSE(adapter.LockFor({5, 15}, 300us, &t, LockMode::kRead));
         // Model: {30,40} conflicts with nothing — every mode must succeed; the release
         // exercises the marked-node unlink/Retire path between failures.
-        ASSERT_TRUE(adapter.TryAcquireWrite({30, 40}, &t));
-        adapter.Release(t);
-        ASSERT_TRUE(adapter.AcquireWriteFor({30, 40}, 50ms, &t));
-        adapter.Release(t);
+        ASSERT_TRUE(adapter.TryLock({30, 40}, &t));
+        adapter.Unlock(t);
+        ASSERT_TRUE(adapter.LockFor({30, 40}, 50ms, &t));
+        adapter.Unlock(t);
       }
-      adapter.Release(held_h);
+      adapter.Unlock(held_h);
       sweep();
       EXPECT_EQ(pool_total(), baseline) << "seed=0x" << std::hex << seed;
-      adapter.Release(anchor);
+      adapter.Unlock(anchor);
     }
   }
 }
@@ -265,7 +265,7 @@ TYPED_TEST(LockFuzzTest, TimedReaderLostRaceConservesPoolNodes) {
            static_cast<int64_t>(pool.Allocated());
   };
 
-  auto far_anchor = adapter.AcquireWrite({1000, 1064});  // all buckets: no fast path
+  auto far_anchor = adapter.Lock({1000, 1064});  // all buckets: no fast path
   std::atomic<int> phase{0};
   std::atomic<int64_t> worker_baseline{0};
   std::atomic<int64_t> worker_final{0};
@@ -276,11 +276,11 @@ TYPED_TEST(LockFuzzTest, TimedReaderLostRaceConservesPoolNodes) {
       CpuRelax();
     }
     for (int i = 0; i < kWorkerOps; ++i) {
-      auto h = adapter.AcquireWrite({10, 15});
+      auto h = adapter.Lock({10, 15});
       for (int s = 0; s < 256; ++s) {
         CpuRelax();  // widen the insert-vs-validate race window
       }
-      adapter.Release(h);
+      adapter.Unlock(h);
     }
     phase.store(3);
     while (phase.load() < 4) {
@@ -292,26 +292,26 @@ TYPED_TEST(LockFuzzTest, TimedReaderLostRaceConservesPoolNodes) {
     CpuRelax();
   }
   auto sweep = [&] {
-    auto h = adapter.AcquireWrite({0, 100});
-    adapter.Release(h);
+    auto h = adapter.Lock({0, 100});
+    adapter.Unlock(h);
   };
   sweep();
   const int64_t baseline_sum = ledger() + worker_baseline.load();
-  auto x_anchor = adapter.AcquireRead({2, 4});
+  auto x_anchor = adapter.Lock({2, 4}, LockMode::kRead);
   phase.store(2);
   while (phase.load() < 3) {
     typename TypeParam::Handle h{};
-    if (adapter.AcquireReadFor({0, 20}, std::chrono::microseconds(30), &h)) {
-      adapter.Release(h);
+    if (adapter.LockFor({0, 20}, std::chrono::microseconds(30), &h, LockMode::kRead)) {
+      adapter.Unlock(h);
     }
   }
-  adapter.Release(x_anchor);
+  adapter.Unlock(x_anchor);
   sweep();  // collects every marked node, the worker's and the aborted readers' alike
   const int64_t my_final = ledger();
   phase.store(4);
   worker.join();
   EXPECT_EQ(my_final + worker_final.load(), baseline_sum);
-  adapter.Release(far_anchor);
+  adapter.Unlock(far_anchor);
 }
 
 }  // namespace

@@ -124,7 +124,7 @@ TEST(SkiplistRangeLockTest, OverlappingGuardedCounterNeverTears) {
         // Alternate narrow and wide overlapping ranges so waits arise on both the
         // predecessor-end and successor-start conflict arms.
         const Range r = (i + t) % 3 == 0 ? Range{0, 64} : Range{4, 8};
-        SkiplistRangeLock::Guard g(lock, r);
+        RangeGuard g(lock, r);
         ++counter;
       }
     });

@@ -1,4 +1,4 @@
-// Tests for the VmLock adapters: semantics per kind and wait-stats instrumentation, and
+// Tests for the VmLock variants: semantics per kind and wait-stats instrumentation, and
 // the list backend's per-stripe heads (VmLockStripedListTest).
 #include <atomic>
 #include <chrono>
@@ -25,20 +25,20 @@ class VmLockTest : public ::testing::TestWithParam<VmLockKind> {};
 
 TEST_P(VmLockTest, ReadersShareWritersExclude) {
   auto lock = MakeVmLock(GetParam());
-  void* r1 = lock->LockRead({0, 100});
-  void* r2 = lock->LockRead({50, 150});  // must not block
-  lock->UnlockRead(r1);
-  lock->UnlockRead(r2);
+  void* r1 = lock->Lock({0, 100}, LockMode::kRead);
+  void* r2 = lock->Lock({50, 150}, LockMode::kRead);  // must not block
+  lock->Unlock(r1);
+  lock->Unlock(r2);
 
-  void* w = lock->LockWrite({0, 100});
+  void* w = lock->Lock({0, 100});
   std::atomic<bool> in{false};
   std::thread t([&] {
-    void* w2 = lock->LockWrite({50, 150});
+    void* w2 = lock->Lock({50, 150});
     in.store(true);
-    lock->UnlockWrite(w2);
+    lock->Unlock(w2);
   });
   EXPECT_TRUE(StaysFalse([&] { return in.load(); }));
-  lock->UnlockWrite(w);
+  lock->Unlock(w);
   t.join();
   EXPECT_TRUE(in.load());
 }
@@ -48,34 +48,34 @@ TEST_P(VmLockTest, FullWriteExcludesEverything) {
   void* fw = lock->LockFullWrite();
   std::atomic<bool> in{false};
   std::thread t([&] {
-    void* r = lock->LockRead({1000, 1001});
+    void* r = lock->Lock({1000, 1001}, LockMode::kRead);
     in.store(true);
-    lock->UnlockRead(r);
+    lock->Unlock(r);
   });
   EXPECT_TRUE(StaysFalse([&] { return in.load(); }));
-  lock->UnlockWrite(fw);
+  lock->Unlock(fw);
   t.join();
   EXPECT_TRUE(in.load());
 }
 
 TEST_P(VmLockTest, DisjointWritesParallelIffRangeLock) {
   auto lock = MakeVmLock(GetParam());
-  void* w1 = lock->LockWrite({0, 100});
+  void* w1 = lock->Lock({0, 100});
   std::atomic<bool> in{false};
   std::thread t([&] {
-    void* w2 = lock->LockWrite({200, 300});
+    void* w2 = lock->Lock({200, 300});
     in.store(true);
-    lock->UnlockWrite(w2);
+    lock->Unlock(w2);
   });
   if (GetParam() == VmLockKind::kStock) {
     // The semaphore ignores ranges: disjoint writers still serialize.
     EXPECT_TRUE(StaysFalse([&] { return in.load(); }));
-    lock->UnlockWrite(w1);
+    lock->Unlock(w1);
     t.join();
   } else {
     t.join();  // range locks admit the disjoint writer while w1 is held
     EXPECT_TRUE(in.load());
-    lock->UnlockWrite(w1);
+    lock->Unlock(w1);
   }
   EXPECT_TRUE(in.load());
 }
@@ -85,14 +85,43 @@ TEST_P(VmLockTest, WaitStatsCountAcquisitions) {
   WaitStats stats;
   lock->SetWaitStats(&stats);
   for (int i = 0; i < 5; ++i) {
-    lock->UnlockRead(lock->LockRead({0, 10}));
+    lock->Unlock(lock->Lock({0, 10}, LockMode::kRead));
   }
   for (int i = 0; i < 3; ++i) {
-    lock->UnlockWrite(lock->LockWrite({0, 10}));
+    lock->Unlock(lock->Lock({0, 10}));
   }
-  lock->UnlockWrite(lock->LockFullWrite());
+  lock->Unlock(lock->LockFullWrite());
   EXPECT_EQ(stats.ReadCount(), 5u);
   EXPECT_EQ(stats.WriteCount(), 4u);  // 3 ranged + 1 full
+  EXPECT_EQ(lock->RangedWriteAcquisitions(), 3u);
+  EXPECT_EQ(lock->FullWriteAcquisitions(), 1u);
+
+  // The fault path is trylock-first, so Figure 7 leans on the try path: a successful
+  // try is one sample in its own mode, and a write try counts as a ranged or full write.
+  void* h = nullptr;
+  ASSERT_TRUE(lock->TryLock({0, 10}, &h, LockMode::kRead));
+  lock->Unlock(h);
+  ASSERT_TRUE(lock->TryLock({0, 10}, &h));
+  lock->Unlock(h);
+  ASSERT_TRUE(lock->TryLock(Range::Full(), &h));
+  lock->Unlock(h);
+  EXPECT_EQ(stats.ReadCount(), 6u);
+  EXPECT_EQ(stats.WriteCount(), 6u);
+  EXPECT_EQ(lock->RangedWriteAcquisitions(), 4u);
+  EXPECT_EQ(lock->FullWriteAcquisitions(), 2u);
+
+  // A failed try against a held overlapping write records and counts nothing; the
+  // blocking fallback that follows it is what measures the wait.
+  void* held = lock->Lock({0, 10});
+  for (const LockMode mode : {LockMode::kRead, LockMode::kWrite}) {
+    EXPECT_FALSE(lock->TryLock({5, 15}, &h, mode));
+    EXPECT_FALSE(lock->TryLock(Range::Full(), &h, mode));
+  }
+  lock->Unlock(held);
+  EXPECT_EQ(stats.ReadCount(), 6u);
+  EXPECT_EQ(stats.WriteCount(), 7u);  // the held write only
+  EXPECT_EQ(lock->RangedWriteAcquisitions(), 5u);
+  EXPECT_EQ(lock->FullWriteAcquisitions(), 2u);
   lock->SetWaitStats(nullptr);
 }
 
@@ -127,32 +156,28 @@ Range AcrossEdge(unsigned stripe, uint64_t tail, uint64_t head) {
 
 // Whether a try acquisition of `r` succeeds; a successful one is released at once, so a
 // failing check never leaves a range held behind it.
-bool TryHolds(VmLock& lock, const Range& r, bool reader) {
+bool TryHolds(VmLock& lock, const Range& r, LockMode mode) {
   void* h = nullptr;
-  if (reader ? !lock.TryLockRead(r, &h) : !lock.TryLockWrite(r, &h)) {
+  if (!lock.TryLock(r, &h, mode)) {
     return false;
   }
-  if (reader) {
-    lock.UnlockRead(h);
-  } else {
-    lock.UnlockWrite(h);
-  }
+  lock.Unlock(h);
   return true;
 }
 
 TEST(VmLockStripedListTest, WritersInDifferentStripesHoldTogether) {
   auto lock = MakeVmLock(VmLockKind::kList, kStripes);
   // Abutting at the stripe 0/1 edge: disjoint, so both hold at once.
-  void* w0 = lock->LockWrite(AcrossEdge(0, 1, 0));
+  void* w0 = lock->Lock(AcrossEdge(0, 1, 0));
   void* w1 = nullptr;
-  EXPECT_TRUE(lock->TryLockWrite(InStripe(1, 0, 1), &w1));
-  EXPECT_TRUE(TryHolds(*lock, InStripe(1, 8, 4), /*reader=*/false));
+  EXPECT_TRUE(lock->TryLock(InStripe(1, 0, 1), &w1));
+  EXPECT_TRUE(TryHolds(*lock, InStripe(1, 8, 4), LockMode::kWrite));
   // An overlapping writer in either stripe still waits.
-  EXPECT_FALSE(TryHolds(*lock, AcrossEdge(0, 1, 1), /*reader=*/false));
+  EXPECT_FALSE(TryHolds(*lock, AcrossEdge(0, 1, 1), LockMode::kWrite));
   if (w1 != nullptr) {
-    lock->UnlockWrite(w1);
+    lock->Unlock(w1);
   }
-  lock->UnlockWrite(w0);
+  lock->Unlock(w0);
 }
 
 // A write spanning stripes 1-2 must find a writer that holds a range in stripe 2 only:
@@ -160,22 +185,22 @@ TEST(VmLockStripedListTest, WritersInDifferentStripesHoldTogether) {
 // stripe would walk straight in.
 TEST(VmLockStripedListTest, CrossStripeWriteWaitsForWriterInItsSecondStripe) {
   auto lock = MakeVmLock(VmLockKind::kList, kStripes);
-  void* held = lock->LockWrite(InStripe(2, 2, 2));
+  void* held = lock->Lock(InStripe(2, 2, 2));
   const Range spanning = {VmaIndex::WindowEnd(1) - 4 * kPage,
                           VmaIndex::WindowBase(2) + 3 * kPage};
-  EXPECT_FALSE(TryHolds(*lock, spanning, /*reader=*/false))
+  EXPECT_FALSE(TryHolds(*lock, spanning, LockMode::kWrite))
       << "writer try walked past the stripe-2 holder";
-  EXPECT_FALSE(TryHolds(*lock, spanning, /*reader=*/true))
+  EXPECT_FALSE(TryHolds(*lock, spanning, LockMode::kRead))
       << "reader try walked past the stripe-2 holder";
   std::atomic<bool> in{false};
   std::thread t([&] {
-    void* w = lock->LockWrite(spanning);
+    void* w = lock->Lock(spanning);
     in.store(true);
-    lock->UnlockWrite(w);
+    lock->Unlock(w);
   });
   EXPECT_TRUE(StaysFalse([&] { return in.load(); }))
       << "a write spanning stripes 1-2 ran beside a writer inside stripe 2";
-  lock->UnlockWrite(held);
+  lock->Unlock(held);
   t.join();
   EXPECT_TRUE(in.load());
 }
@@ -189,20 +214,20 @@ TEST(VmLockStripedListTest, FullWriteBlocksReadersInEveryStripe) {
   const Range above = {VmaIndex::WindowEnd(kStripes - 1),
                        VmaIndex::WindowEnd(kStripes - 1) + kPage};
   for (const Range& r : {last, below, above}) {
-    EXPECT_FALSE(TryHolds(*lock, r, /*reader=*/true))
+    EXPECT_FALSE(TryHolds(*lock, r, LockMode::kRead))
         << "reader of " << r << " ran beside Full";
   }
   std::atomic<int> in{0};
   std::vector<std::thread> readers;
   for (const Range& r : {last, below}) {
     readers.emplace_back([&, r] {
-      void* h = lock->LockRead(r);
+      void* h = lock->Lock(r, LockMode::kRead);
       in.fetch_add(1);
-      lock->UnlockRead(h);
+      lock->Unlock(h);
     });
   }
   EXPECT_TRUE(StaysFalse([&] { return in.load() != 0; }));
-  lock->UnlockWrite(fw);
+  lock->Unlock(fw);
   for (auto& t : readers) {
     t.join();
   }
@@ -213,16 +238,16 @@ TEST(VmLockStripedListTest, FullWriteBlocksReadersInEveryStripe) {
 // returns: the same range in stripe 1 is then immediately writable.
 TEST(VmLockStripedListTest, FailedMultiStripeTryReleasesItsPrefix) {
   auto lock = MakeVmLock(VmLockKind::kList, kStripes);
-  void* held = lock->LockWrite(InStripe(2, 0, 1));
+  void* held = lock->Lock(InStripe(2, 0, 1));
   const Range spanning = AcrossEdge(1, 2, 2);
-  for (const bool reader : {false, true}) {
-    EXPECT_FALSE(TryHolds(*lock, spanning, reader))
-        << "try walked past the stripe-2 holder";
-    EXPECT_TRUE(TryHolds(*lock, AcrossEdge(1, 2, 0), /*reader=*/false))
-        << (reader ? "reader" : "writer") << " try kept its stripe-1 node";
+  for (const LockMode mode : {LockMode::kWrite, LockMode::kRead}) {
+    const char* who = mode == LockMode::kRead ? "reader" : "writer";
+    EXPECT_FALSE(TryHolds(*lock, spanning, mode)) << who << " try walked past the holder";
+    EXPECT_TRUE(TryHolds(*lock, AcrossEdge(1, 2, 0), LockMode::kWrite))
+        << who << " try kept its stripe-1 node";
   }
-  lock->UnlockWrite(held);
-  EXPECT_TRUE(TryHolds(*lock, spanning, /*reader=*/false));
+  lock->Unlock(held);
+  EXPECT_TRUE(TryHolds(*lock, spanning, LockMode::kWrite));
 }
 
 // Readers and writers of single-stripe, cross-stripe and full ranges, blocking and try,
@@ -260,27 +285,26 @@ TEST(VmLockStripedListTest, MixedChainsKeepExclusion) {
           cells = {a, a + len < kStripes * kCells ? a + len : kStripes * kCells};
           r = {addr(cells.start), addr(cells.end)};
         }
-        const bool reader = rng.NextChance(0.5);
+        const LockMode mode = rng.NextChance(0.5) ? LockMode::kRead : LockMode::kWrite;
         void* h = nullptr;
         if (rng.NextChance(0.3)) {
-          if (!(reader ? lock->TryLockRead(r, &h) : lock->TryLockWrite(r, &h))) {
+          if (!lock->TryLock(r, &h, mode)) {
             continue;
           }
         } else {
-          h = reader ? lock->LockRead(r) : lock->LockWrite(r);
+          h = lock->Lock(r, mode);
         }
         // A short hold widens the window in which a wrongly admitted peer meets us.
-        if (reader) {
+        if (mode == LockMode::kRead) {
           oracle.EnterRead(cells);
           Hold();
           oracle.ExitRead(cells);
-          lock->UnlockRead(h);
         } else {
           oracle.EnterWrite(cells);
           Hold();
           oracle.ExitWrite(cells);
-          lock->UnlockWrite(h);
         }
+        lock->Unlock(h);
       }
     });
   }

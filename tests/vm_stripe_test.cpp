@@ -571,7 +571,7 @@ TEST(VmStripeTest, EveryFaultIsCountedExactlyOnce) {
   const uint64_t page = rs.Mmap(kPage, kProtRead | kProtWrite);
   ASSERT_NE(page, 0u);
   EXPECT_TRUE(rs.PageFault(page, true));
-  void* h = rs.Lock().LockWrite({page, page + kPage});
+  void* h = rs.Lock().Lock({page, page + kPage});
   std::atomic<bool> done{false};
   std::atomic<bool> ok{false};
   std::thread faulter([&] {
@@ -581,7 +581,7 @@ TEST(VmStripeTest, EveryFaultIsCountedExactlyOnce) {
   EXPECT_TRUE(testing::EventuallyTrue(
       [&] { return rs.Stats().fault_try_fallback.load() == 1; }));
   EXPECT_FALSE(done.load()) << "a fault got past a held write lock on its page";
-  rs.Lock().UnlockWrite(h);
+  rs.Lock().Unlock(h);
   faulter.join();
   EXPECT_TRUE(ok.load());
   const VmStats& rst = rs.Stats();

@@ -301,8 +301,20 @@ TEST_P(VmSemanticsTest, RandomOpsMatchFlatOracle) {
   EXPECT_TRUE(as_.CheckInvariants());
 }
 
+// Every variant but list-lf-scoped: its backend is being retired, and the sweep,
+// fault-vs-unmap and concurrent suites keep covering it until it goes.
+std::vector<VmVariant> SemanticsVariants() {
+  std::vector<VmVariant> out;
+  for (const VmVariant v : kAllVmVariants) {
+    if (v != VmVariant::kListLfScoped) {
+      out.push_back(v);
+    }
+  }
+  return out;
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    AllVariants, VmSemanticsTest, ::testing::ValuesIn(kAllVmVariants),
+    AllVariants, VmSemanticsTest, ::testing::ValuesIn(SemanticsVariants()),
     [](const ::testing::TestParamInfo<VmVariant>& info) {
       std::string name = VmVariantName(info.param);
       for (char& c : name) {

@@ -12,6 +12,8 @@
 #                                 # "does the admission spinner still survive
 #                                 # oversubscription" canary
 #
+# The plain pass also builds the repository benchmark's srl_bench (.bench_build/, as
+# benchmark/run.py builds it), which no test target compiles.
 # The sanitizer passes run the concurrency-heavy lock tests (not the full suite) to keep
 # wall-clock sane under the ~10x sanitizer slowdown; the plain pass runs everything —
 # including the `bench_smoke` tier, which runs every bench binary with tiny durations so
@@ -63,6 +65,14 @@ run_config() {
 
   echo "=== [$config] build ==="
   cmake --build "$build_dir" -j "$JOBS"
+  if [[ "$config" == plain ]]; then
+    # The repository benchmark is its own CMake project over the library headers, so
+    # the tree above never compiles it. Build it the way benchmark/run.py does, so a
+    # library API change that breaks srl_bench fails here; run.py reuses this build.
+    echo "=== [$config] build srl_bench ==="
+    cmake -S benchmark -B .bench_build -DCMAKE_BUILD_TYPE=Release
+    cmake --build .bench_build --target srl_bench -j "$JOBS"
+  fi
 
   echo "=== [$config] test ==="
   if [[ "$config" == plain ]]; then
