@@ -6,8 +6,8 @@
 // list locks, logarithmic for the tree and the skiplist-indexed lock.
 //
 // Single-threaded by design: the y-axis is the uncontended acquire/release path cost as
-// a function of live-range count, not scalability. list-lf runs the VM backend's
-// geometry (64 buckets, 64 KiB windows); with the 16-unit range stride here, thousands
+// a function of live-range count, not scalability. list-lf runs kv-cached's geometry
+// (64 buckets, 64 KiB windows); with the 16-unit range stride here, thousands
 // of held ranges share a handful of windows, so its search degenerates to linear too —
 // the geometry-vs-precision trade the skiplist index removes.
 //
@@ -29,7 +29,7 @@ namespace {
 // last of them, which is the worst case for a sorted-by-start linear search.
 constexpr uint64_t kStride = 16;
 
-// list-lf in the VM backend's geometry; the other series run the shared presets of
+// list-lf in kv-cached's geometry; the other series run the shared presets of
 // src/harness/lock_adapters.h.
 struct ListLf : ListLockFreeRangeLock {
   static const char* Name() { return "list-lf"; }

@@ -1,13 +1,22 @@
-// Ablation — the admission spinner under oversubscription: write throughput of every VM
-// lock backend from the core count deep into oversubscription (4 -> 256 threads on a
-// 4-core host), with the watch-loop admission spinner on and off.
+// Ablation — the admission spinner under oversubscription: write throughput of the
+// range locks themselves from the core count deep into oversubscription (4 -> 256
+// threads on a 4-core host), with the watch-loop admission spinner on and off.
 //
 // "Avoiding Scalability Collapse by Restricting Concurrency" (Dice & Kogan) is the
 // playbook: past saturation, surplus contenders stop adding throughput and start
 // destroying it — every spinner burns scheduler quanta that the lock holder needs to
 // finish its critical section. The AdmissionGate caps active contenders at ~#cores and
 // parks the rest on a futex. The one place it is wired is the AdmissionSpinner in the
-// list locks' watch loops (and in the list backend's stripe chain).
+// list locks' watch loops, which spans a whole acquisition: one list for list-rw, the
+// chain of covered buckets for list-lf (and of covered stripes in the VM's list lock).
+//
+// The locks, one row name each:
+//   stock     StockRangeLock, the reader-writer semaphore (mmap_sem);
+//   tree      TreeRangeLock, the kernel's tree range lock;
+//   list      ListRwRangeLock with the fast path off: one list under one spinner, which
+//             is the VM's list lock on a one-stripe address space;
+//   list-lf   ListLockFreeRangeLock in kv-cached's geometry, 64 buckets of 64 KiB
+//             windows: the one lock whose acquisitions chain over several lists.
 //
 // What --gates toggles: AdmissionGate::SetGloballyEnabled, which makes that spinner
 // inert and changes nothing else. stock and tree carry no gate, so their on and off
@@ -32,19 +41,40 @@
 #include <atomic>
 #include <cstdint>
 #include <iostream>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/baselines/stock_range_lock.h"
+#include "src/baselines/tree_range_lock.h"
+#include "src/core/list_lockfree_range_lock.h"
+#include "src/core/list_rw_range_lock.h"
+#include "src/core/range_lock.h"
 #include "src/harness/cli.h"
 #include "src/harness/table.h"
 #include "src/harness/throughput_runner.h"
 #include "src/sync/admission.h"
 #include "src/sync/topology.h"
-#include "src/vm/vm_lock.h"
 
 namespace srl {
 namespace {
+
+struct Stock : StockRangeLock {
+  static const char* Name() { return "stock"; }
+};
+
+struct Tree : TreeRangeLock {
+  static const char* Name() { return "tree"; }
+};
+
+struct List : ListRwRangeLock {
+  static const char* Name() { return "list"; }
+};
+
+struct ListLf : ListLockFreeRangeLock {
+  static const char* Name() { return "list-lf"; }
+  ListLf() : ListLockFreeRangeLock(Options{.buckets = 64, .window_shift = 16}) {}
+};
 
 enum class Mix { kAdversarial, kHot, kDisjoint };
 
@@ -64,14 +94,23 @@ Range RangeFor(Mix mix, int tid) {
   }
 }
 
+struct Sweep {
+  std::vector<std::pair<std::string, Mix>> mixes;
+  std::vector<int> threads;
+  std::vector<std::string> gates;
+  double secs;
+  int repeats;
+};
+
 struct Cell {
   Summary summary;
   uint64_t parks;
   uint64_t culls;
 };
 
-Cell RunCell(vm::VmLockKind kind, Mix mix, int threads, double secs, int repeats) {
-  const auto lock = vm::MakeVmLock(kind);
+template <RangeLock L>
+Cell RunCell(Mix mix, int threads, double secs, int repeats) {
+  L lock;
   // A sliver of shared work inside the critical section, so a "lock acquisition" is
   // not literally empty and torn exclusion would corrupt something observable.
   std::atomic<uint64_t> shared{0};
@@ -82,14 +121,38 @@ Cell RunCell(vm::VmLockKind kind, Mix mix, int threads, double secs, int repeats
         const Range r = RangeFor(mix, tid);
         uint64_t ops = 0;
         while (!stop.load(std::memory_order_relaxed)) {
-          void* h = lock->Lock(r);
+          const typename L::Handle h = lock.Lock(r);
           shared.fetch_add(1, std::memory_order_relaxed);
-          lock->Unlock(h);
+          lock.Unlock(h);
           ++ops;
         }
         return ops;
       });
   return {s, AdmissionGate::TotalParks() - parks0, AdmissionGate::TotalCulls() - culls0};
+}
+
+// Every cell of one lock. The on and off cells of one shape run back to back, so drift
+// over the sweep's minutes (other load on the host) hits both sides alike.
+template <RangeLock L>
+void AddRows(const Sweep& sweep, Table* table) {
+  for (const auto& [mix_name, mix] : sweep.mixes) {
+    for (int t : sweep.threads) {
+      for (const std::string& g : sweep.gates) {
+        AdmissionGate::SetGloballyEnabled(g == "on");
+        const Cell c = RunCell<L>(mix, t, sweep.secs, sweep.repeats);
+        table->AddRow({L::Name(), g, mix_name, std::to_string(t),
+                       Table::Num(c.summary.mean, 0),
+                       Table::Num(c.summary.RelStddevPct(), 1), std::to_string(c.parks),
+                       std::to_string(c.culls)});
+      }
+    }
+  }
+}
+
+// The rows of the lock in Locks named `name`; false if none has that name.
+template <RangeLock... Locks>
+bool AddRowsNamed(const std::string& name, const Sweep& sweep, Table* table) {
+  return ((name == Locks::Name() && (AddRows<Locks>(sweep, table), true)) || ...);
 }
 
 }  // namespace
@@ -113,7 +176,7 @@ int main(int argc, char** argv) {
   }
   const std::vector<std::string> variants =
       cli.GetStringList("--variants", {"stock", "tree", "list", "list-lf"});
-  const std::vector<std::string> mixes =
+  const std::vector<std::string> mix_names =
       cli.GetStringList("--mixes", {"adversarial", "hot", "disjoint"});
   const std::vector<int> threads =
       cli.GetIntList("--threads", {4, 16, 64, 256});
@@ -124,33 +187,26 @@ int main(int argc, char** argv) {
   const std::string json_path = cli.JsonPath();
   cli.RejectUnknown();
 
-  auto kind_of = [](const std::string& v, srl::vm::VmLockKind* out) {
-    using srl::vm::VmLockKind;
-    if (v == "stock") {
-      *out = VmLockKind::kStock;
-    } else if (v == "tree") {
-      *out = VmLockKind::kTree;
-    } else if (v == "list") {
-      *out = VmLockKind::kList;
-    } else if (v == "list-lf") {
-      *out = VmLockKind::kListLockFree;
-    } else {
-      return false;
-    }
-    return true;
-  };
-  auto mix_of = [](const std::string& m, srl::Mix* out) {
+  std::vector<std::pair<std::string, srl::Mix>> mixes;
+  for (const std::string& m : mix_names) {
     if (m == "adversarial") {
-      *out = srl::Mix::kAdversarial;
+      mixes.emplace_back(m, srl::Mix::kAdversarial);
     } else if (m == "hot") {
-      *out = srl::Mix::kHot;
+      mixes.emplace_back(m, srl::Mix::kHot);
     } else if (m == "disjoint") {
-      *out = srl::Mix::kDisjoint;
+      mixes.emplace_back(m, srl::Mix::kDisjoint);
     } else {
-      return false;
+      std::cerr << "unknown --mixes entry: " << m << "\n";
+      return 1;
     }
-    return true;
-  };
+  }
+  for (const std::string& g : gates) {
+    if (g != "on" && g != "off") {
+      std::cerr << "unknown --gates entry: " << g << "\n";
+      return 1;
+    }
+  }
+  const srl::Sweep sweep{mixes, threads, gates, secs, repeats};
 
   const unsigned cpus = srl::CpuCount();
   std::cout << "\n=== oversubscription sweep — write throughput, admission spinner "
@@ -158,35 +214,11 @@ int main(int argc, char** argv) {
             << ", cap ~#cores) ===\n";
   srl::Table table(
       {"variant", "gate", "mix", "threads", "ops/sec", "rel-stddev%", "parks", "culls"});
-  for (const std::string& g : gates) {
-    if (g != "on" && g != "off") {
-      std::cerr << "unknown --gates entry: " << g << "\n";
-      return 1;
-    }
-  }
   for (const std::string& v : variants) {
-    srl::vm::VmLockKind kind;
-    if (!kind_of(v, &kind)) {
+    if (!srl::AddRowsNamed<srl::Stock, srl::Tree, srl::List, srl::ListLf>(v, sweep,
+                                                                           &table)) {
       std::cerr << "unknown --variants entry: " << v << "\n";
       return 1;
-    }
-    for (const std::string& m : mixes) {
-      srl::Mix mix;
-      if (!mix_of(m, &mix)) {
-        std::cerr << "unknown --mixes entry: " << m << "\n";
-        return 1;
-      }
-      for (int t : threads) {
-        // The on and off cells of one shape run back to back, so drift over the
-        // sweep's minutes (other load on the host) hits both sides alike.
-        for (const std::string& g : gates) {
-          srl::AdmissionGate::SetGloballyEnabled(g == "on");
-          const srl::Cell c = srl::RunCell(kind, mix, t, secs, repeats);
-          table.AddRow({v, g, m, std::to_string(t), srl::Table::Num(c.summary.mean, 0),
-                        srl::Table::Num(c.summary.RelStddevPct(), 1),
-                        std::to_string(c.parks), std::to_string(c.culls)});
-        }
-      }
     }
   }
   srl::AdmissionGate::SetGloballyEnabled(true);

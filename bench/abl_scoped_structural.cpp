@@ -28,8 +28,7 @@
 // write-acquisition split (VmLock counters). A second table reports per-stripe
 // speculative-fault and structural counters for every multi-stripe run.
 //
-// Flags: --variants=stock,tree-full,tree-scoped,list-full,list-refined,list-scoped,
-//        list-lf-scoped
+// Flags: --variants=stock,tree-full,tree-scoped,list-full,list-refined,list-scoped
 //        --threads=1,2,4,8  --stripes=1,4  --modes=disjoint,same-stripe
 //        --readers=2  --secs=0.25  --repeats=1  --pages=512  --scratch-pages=4
 //        --csv  --json=BENCH_scoped_structural.json
@@ -142,7 +141,7 @@ int main(int argc, char** argv) {
   srl::Cli cli(argc, argv);
   if (cli.Has("--help")) {
     std::cout << "abl_scoped_structural --variants=stock,tree-full,tree-scoped,"
-                 "list-full,list-refined,list-scoped,list-lf-scoped "
+                 "list-full,list-refined,list-scoped "
                  "--threads=1,2,4,8 --stripes=1,4 "
                  "--modes=disjoint,same-stripe --readers=2 --secs=0.25 --repeats=1 "
                  "--pages=512 --scratch-pages=4 --csv "
@@ -163,7 +162,7 @@ int main(int argc, char** argv) {
 
   const std::vector<std::string> names = cli.GetStringList(
       "--variants", {"stock", "tree-full", "tree-scoped", "list-full", "list-refined",
-                     "list-scoped", "list-lf-scoped"});
+                     "list-scoped"});
   const std::string json_path = cli.JsonPath();
   cli.RejectUnknown();
 

@@ -22,7 +22,7 @@
 // the bench names the variant and the stripe that ran out and exits 1.
 //
 // Flags: --variants=stock,tree-full,tree-refined,tree-scoped,list-full,list-refined,
-//        list-scoped,list-lf-scoped
+//        list-scoped
 //        --threads=1,2,4,8 --stripes=1,4 --modes=disjoint,same-stripe
 //        --secs=0.25  --repeats=1  --pages=1024  --churn-pause=4096  --csv
 //        --json=BENCH_trylock.json
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
   srl::Cli cli(argc, argv);
   if (cli.Has("--help")) {
     std::cout << "abl_trylock --variants=stock,tree-full,tree-refined,tree-scoped,"
-                 "list-full,list-refined,list-scoped,list-lf-scoped "
+                 "list-full,list-refined,list-scoped "
                  "--threads=1,2,4,8 --stripes=1,4 "
                  "--modes=disjoint,same-stripe --secs=0.25 --repeats=1 --pages=1024 "
                  "--churn-pause=4096 --csv --json=BENCH_trylock.json\n";
@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
 
   const std::vector<std::string> names = cli.GetStringList(
       "--variants", {"stock", "tree-full", "tree-refined", "tree-scoped", "list-full",
-                     "list-refined", "list-scoped", "list-lf-scoped"});
+                     "list-refined", "list-scoped"});
   const std::string json_path = cli.JsonPath();
   cli.RejectUnknown();
 

@@ -22,8 +22,7 @@ void RunApp(metis::MetisApp app, const MetisFlags& flags, BenchJson* json) {
   for (vm::VmVariant variant :
        {vm::VmVariant::kStock, vm::VmVariant::kTreeFull, vm::VmVariant::kTreeRefined,
         vm::VmVariant::kListFull, vm::VmVariant::kListRefined,
-        vm::VmVariant::kTreeScoped, vm::VmVariant::kListScoped,
-        vm::VmVariant::kListLfScoped}) {
+        vm::VmVariant::kTreeScoped, vm::VmVariant::kListScoped}) {
     for (int t : flags.threads) {
       const MetisRun run = RunMetisOnce(variant, ConfigFor(flags, app, t),
                                         /*collect_wait_stats=*/true,

@@ -5,8 +5,7 @@
 // is cut into fixed-size windows (1 << Options::window_shift units each) and every
 // window hashes to one of Options::buckets sorted lock lists. Disjoint ranges in
 // different windows touch disjoint heads, so they contend on nothing at all — no head
-// pointer, no cache line — which composes with the VM layer's stripes (bucketing
-// *within* a stripe's window). Each bucket is one RangeList (range_list.h), which holds
+// pointer, no cache line. Each bucket is one RangeList (range_list.h), which holds
 // Listing 1, the conflict watch loop and the fast path's re-arm rule; release never
 // takes a lock or traverses (the property this lock is named for).
 //
@@ -54,7 +53,7 @@ class ListLockFreeRangeLock {
   struct Options {
     // Number of hash-bucketed list heads. Clamped to a power of two in [1, 64] — 64 so
     // the covered-bucket set fits one uint64_t mask, power of two so the bucket hash is
-    // a multiply-shift. 16 suits the unit-test universes; the VM backend uses 64.
+    // a multiply-shift. 16 suits the unit-test universes; kv-cached's store uses 64.
     std::size_t buckets = 16;
     // log2 of the window size: addresses in the same window always share a bucket.
     // Pick it so a typical acquisition covers ~1 window; too small and short ranges
@@ -150,10 +149,10 @@ class ListLockFreeRangeLock {
   }
 
   // Window index -> bucket index. Fibonacci multiplicative hashing rather than
-  // `w & (buckets - 1)`: the VM layer's stripes start at multiples of 2^30, so under
-  // identity hashing every stripe's base window would land in bucket 0 and striped
-  // workloads would collide on one head — the multiply diffuses the high base bits
-  // into the selected bucket.
+  // `w & (buckets - 1)`: under identity hashing, windows a multiple of `buckets` apart
+  // share a head, so ranges laid out at a power-of-two stride of `buckets` windows or
+  // more (per-thread regions, large aligned allocations) would all collide on one
+  // bucket. The multiply diffuses a window index's high bits into the selected bucket.
   std::size_t BucketOf(uint64_t window) const {
     if (bucket_count_ == 1) {
       return 0;

@@ -28,12 +28,14 @@ struct LNode {
   // until their epoch critical section ends.
   LNode* pool_next = nullptr;
 
-  // Handle chaining for the bucketed lock-free lock (ListLockFreeRangeLock): an
-  // acquisition covering several buckets owns one node per bucket, linked through this
-  // field in ascending bucket order. Written by the acquiring thread before the handle
-  // is handed out and read only by the releasing owner (handle transfer between threads
-  // synchronizes via the transfer itself), so the field needs no atomicity. Other
-  // threads' traversals read only start/end/next and never follow siblings.
+  // Handle chaining for a lock that spreads its ranges over several lists: an
+  // acquisition covering several lists owns one node per list, linked through this
+  // field in ascending list order. ListLockFreeRangeLock chains its buckets this way,
+  // and the VM's list lock (src/vm/vm_lock.cpp) its stripes. Written by the acquiring
+  // thread before the handle is handed out and read only by the releasing owner (handle
+  // transfer between threads synchronizes via the transfer itself), so the field needs
+  // no atomicity. Other threads' traversals read only start/end/next and never follow
+  // siblings.
   LNode* sibling = nullptr;
 };
 

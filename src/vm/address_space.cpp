@@ -38,8 +38,6 @@ VariantConfig ConfigFor(VmVariant v) {
       return {VmLockKind::kTree, true, true, true};
     case VmVariant::kListScoped:
       return {VmLockKind::kList, true, true, true};
-    case VmVariant::kListLfScoped:
-      return {VmLockKind::kListLockFree, true, true, true};
   }
   return {VmLockKind::kStock, false, false, false};
 }
@@ -78,8 +76,6 @@ const char* VmVariantName(VmVariant v) {
       return "tree-scoped";
     case VmVariant::kListScoped:
       return "list-scoped";
-    case VmVariant::kListLfScoped:
-      return "list-lf-scoped";
   }
   return "?";
 }

@@ -80,9 +80,6 @@ enum class VmVariant {
   kListMprotect,  // list lock, speculative mprotect only (Figure 6 breakdown)
   kTreeScoped,    // tree lock, refined + range-scoped structural ops
   kListScoped,    // list lock, refined + range-scoped structural ops
-  // Lock-free bucketed list lock, refined + range-scoped structural ops. Pinned: gtest
-  // prints a parameter's raw bytes into test names, so renumbering would rename tests.
-  kListLfScoped = 10,
 };
 
 const char* VmVariantName(VmVariant v);
@@ -93,7 +90,6 @@ inline constexpr VmVariant kAllVmVariants[] = {
     VmVariant::kStock,        VmVariant::kTreeFull,    VmVariant::kTreeRefined,
     VmVariant::kListFull,     VmVariant::kListRefined, VmVariant::kListPf,
     VmVariant::kListMprotect, VmVariant::kTreeScoped,  VmVariant::kListScoped,
-    VmVariant::kListLfScoped,
 };
 
 // Reverse of VmVariantName over kAllVmVariants. Returns kStock with *ok = false when

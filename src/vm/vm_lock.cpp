@@ -7,7 +7,6 @@
 
 #include "src/baselines/stock_range_lock.h"
 #include "src/baselines/tree_range_lock.h"
-#include "src/core/list_lockfree_range_lock.h"
 #include "src/core/list_rw_range_lock.h"
 #include "src/sync/admission.h"
 #include "src/sync/cacheline.h"
@@ -143,7 +142,7 @@ class RangeVmLock final : public VmLock {
 };
 
 static_assert(RangeLock<StockRangeLock> && RangeLock<TreeRangeLock> &&
-              RangeLock<StripedListRangeLock> && RangeLock<ListLockFreeRangeLock>);
+              RangeLock<StripedListRangeLock>);
 
 }  // namespace
 
@@ -155,16 +154,6 @@ std::unique_ptr<VmLock> MakeVmLock(VmLockKind kind, unsigned stripes) {
       return std::make_unique<RangeVmLock<TreeRangeLock>>(kind);
     case VmLockKind::kList:
       return std::make_unique<RangeVmLock<StripedListRangeLock>>(kind, stripes);
-    case VmLockKind::kListLockFree:
-      // Exclusive backend: reads are served as writes (the lustre-ex pattern the paper
-      // benchmarks in read workloads). Safe for AddressSpace because no VM path nests a
-      // second acquisition inside one that overlaps it — the speculative Mprotect path
-      // drops its read acquisition before taking the write one. Geometry: 64 KiB
-      // windows (window_shift=16) keep a page-fault acquisition inside one window, and
-      // 64 buckets give striped workloads distinct heads (the Fibonacci bucket hash
-      // diffuses the stripes' high base bits).
-      return std::make_unique<RangeVmLock<ListLockFreeRangeLock>>(
-          kind, ListLockFreeRangeLock::Options{.buckets = 64, .window_shift = 16});
   }
   return nullptr;
 }
@@ -177,8 +166,6 @@ const char* VmLockKindName(VmLockKind kind) {
       return "tree";
     case VmLockKind::kList:
       return "list";
-    case VmLockKind::kListLockFree:
-      return "list-lf";
   }
   return "?";
 }

@@ -5,8 +5,6 @@
 //   stock         RwSemaphore; ranges ignored, whole-address-space semantics
 //   tree          kernel tree-based range lock (Bueso's patch, ported)
 //   list          the paper's reader-writer list-based range lock, one list per stripe
-//   list-lf       bucketed lock-free exclusive list lock (reads served as writes, the
-//                 lustre-ex pattern; disjoint ranges hit disjoint bucket heads)
 //
 // Every variant is an instance of one template (RangeVmLock, vm_lock.cpp) over a lock
 // with the native range-lock API (src/core/range_lock.h); the VM calls are that API's,
@@ -56,10 +54,9 @@
 namespace srl::vm {
 
 enum class VmLockKind {
-  kStock,         // reader-writer semaphore (mmap_sem)
-  kTree,          // tree-based range lock
-  kList,          // list-based range lock
-  kListLockFree,  // bucketed lock-free exclusive list lock
+  kStock,  // reader-writer semaphore (mmap_sem)
+  kTree,   // tree-based range lock
+  kList,   // list-based range lock
 };
 
 class VmLock {

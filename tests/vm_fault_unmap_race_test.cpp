@@ -387,12 +387,10 @@ INSTANTIATE_TEST_SUITE_P(
                       RaceParam{VmVariant::kListScoped, 1},
                       RaceParam{VmVariant::kTreeFull, 1},
                       RaceParam{VmVariant::kListRefined, 1},
-                      RaceParam{VmVariant::kListLfScoped, 1},
                       // Multi-stripe spaces: the install-then-validate ordering must
                       // hold per stripe, with generations spread across all four.
                       RaceParam{VmVariant::kTreeScoped, 4},
-                      RaceParam{VmVariant::kListScoped, 4},
-                      RaceParam{VmVariant::kListLfScoped, 4}),
+                      RaceParam{VmVariant::kListScoped, 4}),
     VariantTestName);
 
 }  // namespace

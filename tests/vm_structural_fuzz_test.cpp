@@ -433,14 +433,10 @@ TEST_P(VmStructuralFuzzTest, MprotectDuringFaultTornReadOracle) {
   }
 }
 
-// Every variant but list-lf-scoped, whose backend is being retired (the sweep,
-// fault-vs-unmap and concurrent suites keep covering it until it goes).
 std::vector<FuzzParam> AllFuzzParams() {
   std::vector<FuzzParam> params;
   for (const VmVariant v : kAllVmVariants) {
-    if (v != VmVariant::kListLfScoped) {
-      params.push_back({v, 1});
-    }
+    params.push_back({v, 1});
   }
   // Multi-stripe spaces for the variants whose machinery is per-stripe.
   params.push_back({VmVariant::kTreeScoped, 4});

@@ -440,11 +440,9 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParam{VmVariant::kListRefined, 1},
                       SweepParam{VmVariant::kTreeScoped, 1},
                       SweepParam{VmVariant::kListScoped, 1},
-                      SweepParam{VmVariant::kListLfScoped, 1},
                       // Multi-stripe spaces: sweeps must stay window-confined.
                       SweepParam{VmVariant::kTreeScoped, 4},
-                      SweepParam{VmVariant::kListScoped, 4},
-                      SweepParam{VmVariant::kListLfScoped, 4}),
+                      SweepParam{VmVariant::kListScoped, 4}),
     SweepTestName);
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Single-threaded semantic tests for the simulated VM subsystem, including a
 // property test that shadows every operation in a flat page→protection map.
+#include <iterator>
 #include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -301,20 +304,8 @@ TEST_P(VmSemanticsTest, RandomOpsMatchFlatOracle) {
   EXPECT_TRUE(as_.CheckInvariants());
 }
 
-// Every variant but list-lf-scoped: its backend is being retired, and the sweep,
-// fault-vs-unmap and concurrent suites keep covering it until it goes.
-std::vector<VmVariant> SemanticsVariants() {
-  std::vector<VmVariant> out;
-  for (const VmVariant v : kAllVmVariants) {
-    if (v != VmVariant::kListLfScoped) {
-      out.push_back(v);
-    }
-  }
-  return out;
-}
-
 INSTANTIATE_TEST_SUITE_P(
-    AllVariants, VmSemanticsTest, ::testing::ValuesIn(SemanticsVariants()),
+    AllVariants, VmSemanticsTest, ::testing::ValuesIn(kAllVmVariants),
     [](const ::testing::TestParamInfo<VmVariant>& info) {
       std::string name = VmVariantName(info.param);
       for (char& c : name) {
@@ -324,6 +315,23 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// The benches resolve every --variants entry through VmVariantFromName, so a name must
+// map back to its own variant, and a retired backend's name must be rejected rather
+// than silently resolved to another variant.
+TEST(VmVariantTest, NamesRoundTripAndRetiredNameIsRejected) {
+  std::set<std::string> names;
+  for (const VmVariant v : kAllVmVariants) {
+    bool ok = false;
+    EXPECT_EQ(VmVariantFromName(VmVariantName(v), &ok), v) << VmVariantName(v);
+    EXPECT_TRUE(ok) << VmVariantName(v);
+    names.insert(VmVariantName(v));
+  }
+  EXPECT_EQ(names.size(), std::size(kAllVmVariants)) << "two variants share a name";
+  bool ok = true;
+  VmVariantFromName("list-lf-scoped", &ok);
+  EXPECT_FALSE(ok) << "a retired backend's name still resolves";
+}
 
 }  // namespace
 }  // namespace srl::vm

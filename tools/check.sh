@@ -7,7 +7,7 @@
 #   tools/check.sh plain          # just one (plain | thread | address)
 #   tools/check.sh --oversub plain
 #                                 # additionally run the oversubscription smoke (a
-#                                 # short bench/abl_oversub sweep of the list backends
+#                                 # short bench/abl_oversub sweep of the list locks
 #                                 # at 64 threads) after the plain test pass — a cheap
 #                                 # "does the admission spinner still survive
 #                                 # oversubscription" canary
@@ -98,7 +98,7 @@ run_config() {
       --repeat until-fail:10 -j8
     if [[ "$OVERSUB" == 1 ]]; then
       # Oversubscription canary: far more threads than any CI core count, long enough
-      # for the spinner's parking/cull machinery to engage. Only the list backends
+      # for the spinner's parking/cull machinery to engage. Only the list locks
       # carry the gate (stock and tree have none), on the two mixes where their
       # waiters watch and park. Exit status only — perf numbers from shared runners
       # are not judged here (see tools/perf_diff.py for trajectories).
