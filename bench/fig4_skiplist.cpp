@@ -6,7 +6,7 @@
 // skip list over the kernel tree lock), range-list (over the paper's list lock).
 //
 // Flags: --threads=1,2,4,8  --key-range=1048576  --update-pct=20  --secs=0.3
-//        --repeats=1  --csv
+//        --repeats=1  --csv  --json=BENCH_fig4.json
 #include <iostream>
 #include <memory>
 #include <string>
@@ -75,16 +75,18 @@ int main(int argc, char** argv) {
   srl::Cli cli(argc, argv);
   if (cli.Has("--help")) {
     std::cout << "fig4_skiplist --threads=1,2,4,8 --key-range=1048576 --update-pct=20 "
-                 "--secs=0.3 --repeats=1 --csv\n";
+                 "--secs=0.3 --repeats=1 --csv --json=BENCH_fig4.json\n";
     return 0;
   }
   const std::vector<int> threads = cli.GetIntList("--threads", {1, 2, 4, 8});
   const uint64_t key_range =
       static_cast<uint64_t>(cli.GetInt("--key-range", 1 << 20));
-  const double update_fraction = cli.GetInt("--update-pct", 20) / 100.0;
+  const int64_t update_pct = cli.GetInt("--update-pct", 20);
+  const double update_fraction = update_pct / 100.0;
   const double secs = cli.GetDouble("--secs", 0.3);
   const int repeats = static_cast<int>(cli.GetInt("--repeats", 1));
   const bool csv = cli.GetBool("--csv");
+  const std::string json_path = cli.JsonPath();
   cli.RejectUnknown();
 
   std::cout << "=== Figure 4 — skip-list throughput (ops/sec), "
@@ -98,5 +100,11 @@ int main(int argc, char** argv) {
   srl::RunSeries<srl::RangeLockSkipList<srl::ListLockPolicy>>(
       "range-list", threads, key_range, update_fraction, secs, repeats, &table);
   table.Print(std::cout, csv);
-  return 0;
+  srl::BenchJson json("fig4_skiplist");
+  json.AddTable({{"key_range", std::to_string(key_range)},
+                 {"update_pct", std::to_string(update_pct)},
+                 {"repeats", std::to_string(repeats)},
+                 {"secs", srl::Table::Num(secs, 3)}},
+                table);
+  return json.Write(json_path) ? 0 : 1;
 }

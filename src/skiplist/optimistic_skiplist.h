@@ -1,283 +1,94 @@
 // The optimistic ("lazy") skip list of Herlihy, Lev, Luchangco & Shavit (SIROCCO'07) —
 // the `orig` baseline of the paper's skip-list experiment (§6, Figure 4).
 //
-// Every node carries its own spin lock. Updates search optimistically without locks,
-// then lock all predecessors of the affected node (up to one per level, plus the victim
-// for removals), validate that the neighbourhood did not change, apply, and unlock.
-// Contains() is wait-free: it takes no locks and decides from the marked / fully-linked
-// flags.
-//
-// Keys are uint64_t values >= 1 (0 names the head sentinel). Node memory is reclaimed
-// through the epoch scheme; all operations run inside an epoch critical section.
+// Its exclusion protocol is per-node locks, one spin lock in every node. An update
+// searches without locks (lazy_skiplist.h), then locks every predecessor it rewrites
+// (plus the victim for removals), validates that the neighbourhood did not change,
+// applies, and unlocks.
 #ifndef SRL_SKIPLIST_OPTIMISTIC_SKIPLIST_H_
 #define SRL_SKIPLIST_OPTIMISTIC_SKIPLIST_H_
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <new>
 
-#include "src/epoch/epoch_domain.h"
-#include "src/epoch/retire_list.h"
-#include "src/harness/prng.h"
+#include "src/skiplist/lazy_skiplist.h"
 #include "src/sync/spin_lock.h"
-#include "src/sync/spin_wait.h"
 
 namespace srl {
 
-class OptimisticSkipList {
+class OptimisticSkipList : public LazySkipList<SpinLock> {
  public:
-  static constexpr int kMaxLevel = 20;  // comfortably supports tens of millions of keys
-
-  OptimisticSkipList() : head_(Node::Create(0, kMaxLevel - 1)) {
-    for (int l = 0; l < kMaxLevel; ++l) {
-      head_->NextAt(l).store(nullptr, std::memory_order_relaxed);
-    }
-    head_->fully_linked.store(true, std::memory_order_relaxed);
-  }
-
-  ~OptimisticSkipList() {
-    Node* n = head_;
-    while (n != nullptr) {
-      Node* next = n->NextAt(0).load(std::memory_order_relaxed);
-      Node::Destroy(n);
-      n = next;
-    }
-  }
-
-  OptimisticSkipList(const OptimisticSkipList&) = delete;
-  OptimisticSkipList& operator=(const OptimisticSkipList&) = delete;
-
   // Inserts `key`; returns false if already present.
   bool Insert(uint64_t key) {
-    assert(key >= 1);
-    const int top_level = RandomLevel();
-    Node* preds[kMaxLevel];
-    Node* succs[kMaxLevel];
-    EpochGuard guard(EpochDomain::Global());
-    for (;;) {
-      const int found = Find(key, preds, succs);
-      if (found != -1) {
-        Node* existing = succs[found];
-        if (!existing->marked.load(std::memory_order_acquire)) {
-          // Key already present (or being inserted); wait for it to be fully linked so
-          // our "false" answer is linearizable.
-          SpinWait spin;
-          while (!existing->fully_linked.load(std::memory_order_acquire)) {
-            spin.Spin();
-          }
-          return false;
-        }
-        continue;  // victim mid-removal; retry
-      }
-      // Lock all predecessors bottom-up (ascending level), skipping repeats.
-      int highest_locked = -1;
-      Node* prev_locked = nullptr;
-      bool valid = true;
-      for (int l = 0; valid && l <= top_level; ++l) {
-        Node* pred = preds[l];
-        Node* succ = succs[l];
-        if (pred != prev_locked) {
-          pred->lock.lock();
-          highest_locked = l;
-          prev_locked = pred;
-        }
-        valid = !pred->marked.load(std::memory_order_acquire) &&
-                (succ == nullptr || !succ->marked.load(std::memory_order_acquire)) &&
-                pred->NextAt(l).load(std::memory_order_acquire) == succ;
-      }
-      if (!valid) {
-        UnlockPreds(preds, highest_locked);
-        continue;
-      }
-      Node* node = Node::Create(key, top_level);
-      for (int l = 0; l <= top_level; ++l) {
-        node->NextAt(l).store(succs[l], std::memory_order_relaxed);
-      }
-      for (int l = 0; l <= top_level; ++l) {
-        preds[l]->NextAt(l).store(node, std::memory_order_release);
-      }
-      node->fully_linked.store(true, std::memory_order_release);
-      UnlockPreds(preds, highest_locked);
-      return true;
-    }
+    return InsertWith(key, [](Node* const* preds, int top_level) {
+      return PredLocks(preds, top_level);
+    });
   }
 
-  // Removes `key`; returns false if absent.
+  // Removes `key`; returns false if absent. The victim is marked under its own lock
+  // before any predecessor is locked: once marked it is logically gone and only this
+  // remover may unlink it, so a failed validation retries just the search.
   bool Remove(uint64_t key) {
     assert(key >= 1);
     Node* preds[kMaxLevel];
     Node* succs[kMaxLevel];
-    Node* victim = nullptr;
-    bool is_marked = false;
-    int top_level = -1;
-    EpochGuard guard(EpochDomain::Global());
-    for (;;) {
-      const int found = Find(key, preds, succs);
-      if (found != -1) {
-        victim = succs[found];
-      }
-      if (is_marked ||
-          (found != -1 && victim->fully_linked.load(std::memory_order_acquire) &&
-           victim->top_level == found &&
-           !victim->marked.load(std::memory_order_acquire))) {
-        if (!is_marked) {
-          top_level = victim->top_level;
-          victim->lock.lock();
-          if (victim->marked.load(std::memory_order_acquire)) {
-            victim->lock.unlock();
-            return false;  // someone else is removing it
-          }
-          victim->marked.store(true, std::memory_order_release);
-          is_marked = true;
-        }
-        int highest_locked = -1;
-        Node* prev_locked = nullptr;
-        bool valid = true;
-        for (int l = 0; valid && l <= top_level; ++l) {
-          Node* pred = preds[l];
-          if (pred != prev_locked) {
-            pred->lock.lock();
-            highest_locked = l;
-            prev_locked = pred;
-          }
-          valid = !pred->marked.load(std::memory_order_acquire) &&
-                  pred->NextAt(l).load(std::memory_order_acquire) == victim;
-        }
-        if (!valid) {
-          UnlockPreds(preds, highest_locked);
-          continue;
-        }
-        for (int l = top_level; l >= 0; --l) {
-          preds[l]->NextAt(l).store(victim->NextAt(l).load(std::memory_order_relaxed),
-                                    std::memory_order_release);
-        }
-        victim->lock.unlock();
-        UnlockPreds(preds, highest_locked);
-        RetireList::Local().RetireCustom(victim, &Node::DestroyErased);
-        return true;
-      }
+    EpochDomain::ThreadRec* rec = CurrentThreadRec(EpochDomain::Global());
+    EpochDomain::Enter(rec);
+    const int found = Find(key, preds, succs);
+    Node* victim = found == -1 ? nullptr : succs[found];
+    if (victim == nullptr || !Removable(victim, found)) {
+      EpochDomain::Exit(rec);
       return false;
     }
-  }
-
-  // Wait-free membership test.
-  bool Contains(uint64_t key) const {
-    assert(key >= 1);
-    EpochGuard guard(EpochDomain::Global());
-    Node* pred = head_;
-    Node* cur = nullptr;
-    for (int l = kMaxLevel - 1; l >= 0; --l) {
-      cur = pred->NextAt(l).load(std::memory_order_acquire);
-      while (cur != nullptr && cur->key < key) {
-        pred = cur;
-        cur = pred->NextAt(l).load(std::memory_order_acquire);
-      }
-      if (cur != nullptr && cur->key == key) {
-        return cur->fully_linked.load(std::memory_order_acquire) &&
-               !cur->marked.load(std::memory_order_acquire);
-      }
+    victim->state.lock();
+    if (victim->marked.load(std::memory_order_acquire)) {
+      victim->state.unlock();
+      EpochDomain::Exit(rec);
+      return false;  // someone else is removing it
     }
-    return false;
-  }
-
-  // Flushes this thread's retired nodes if the batch is large. Call between operations,
-  // never while holding locks.
-  static void QuiesceLocal() { RetireList::Local().MaybeFlush(); }
-
-  // Number of live keys (test-only; requires quiescence).
-  std::size_t DebugCount() const {
-    std::size_t n = 0;
-    for (Node* cur = head_->NextAt(0).load(std::memory_order_acquire); cur != nullptr;
-         cur = cur->NextAt(0).load(std::memory_order_acquire)) {
-      if (!cur->marked.load(std::memory_order_acquire)) {
-        ++n;
+    victim->marked.store(true, std::memory_order_release);
+    for (;;) {
+      {
+        const PredLocks held(preds, victim->top_level);
+        if (PredsPointAt(preds, victim)) {
+          Unlink(victim, preds);
+          break;
+        }
       }
+      Find(key, preds, succs);
     }
-    return n;
-  }
-
-  // Per-node memory for a node of the given height — used by the memory-footprint
-  // comparison (§6 notes the range-lock variant drops the per-node lock).
-  static std::size_t NodeBytes(int top_level) {
-    return sizeof(Node) + static_cast<std::size_t>(top_level + 1) * sizeof(std::atomic<void*>);
+    victim->state.unlock();
+    EpochDomain::Exit(rec);
+    Retire(victim);
+    return true;
   }
 
  private:
-  struct Node {
-    uint64_t key;
-    int32_t top_level;
-    std::atomic<bool> marked{false};
-    std::atomic<bool> fully_linked{false};
-    SpinLock lock;
-
-    std::atomic<Node*>& NextAt(int l) {
-      return reinterpret_cast<std::atomic<Node*>*>(this + 1)[l];
-    }
-
-    static Node* Create(uint64_t key, int top_level) {
-      void* mem = ::operator new(sizeof(Node) +
-                                 static_cast<std::size_t>(top_level + 1) *
-                                     sizeof(std::atomic<Node*>));
-      Node* n = new (mem) Node();
-      n->key = key;
-      n->top_level = top_level;
-      auto* levels = reinterpret_cast<std::atomic<Node*>*>(n + 1);
-      for (int l = 0; l <= top_level; ++l) {
-        new (&levels[l]) std::atomic<Node*>(nullptr);
+  // Locks an update's distinct predecessors bottom-up, in descending key order like
+  // the victim-first remove, so updates cannot deadlock; unlocks them when destroyed.
+  class PredLocks {
+   public:
+    PredLocks(Node* const* preds, int top_level) : preds_(preds), top_level_(top_level) {
+      for (int l = 0; l <= top_level_; ++l) {
+        if (l == 0 || preds_[l] != preds_[l - 1]) {
+          preds_[l]->state.lock();
+        }
       }
-      return n;
     }
-
-    static void Destroy(Node* n) {
-      n->~Node();
-      ::operator delete(n);
+    ~PredLocks() {
+      for (int l = 0; l <= top_level_; ++l) {
+        if (l == 0 || preds_[l] != preds_[l - 1]) {
+          preds_[l]->state.unlock();
+        }
+      }
     }
+    PredLocks(const PredLocks&) = delete;
+    PredLocks& operator=(const PredLocks&) = delete;
 
-    static void DestroyErased(void* p) { Destroy(static_cast<Node*>(p)); }
+   private:
+    Node* const* preds_;
+    int top_level_;
   };
-
-  // Returns the highest level at which `key` was found (-1 if absent) and fills
-  // preds/succs at every level.
-  int Find(uint64_t key, Node** preds, Node** succs) const {
-    int found = -1;
-    Node* pred = head_;
-    for (int l = kMaxLevel - 1; l >= 0; --l) {
-      Node* cur = pred->NextAt(l).load(std::memory_order_acquire);
-      while (cur != nullptr && cur->key < key) {
-        pred = cur;
-        cur = pred->NextAt(l).load(std::memory_order_acquire);
-      }
-      if (found == -1 && cur != nullptr && cur->key == key) {
-        found = l;
-      }
-      preds[l] = pred;
-      succs[l] = cur;
-    }
-    return found;
-  }
-
-  static void UnlockPreds(Node** preds, int highest_locked) {
-    Node* prev = nullptr;
-    for (int l = 0; l <= highest_locked; ++l) {
-      if (preds[l] != prev) {
-        preds[l]->lock.unlock();
-        prev = preds[l];
-      }
-    }
-  }
-
-  int RandomLevel() {
-    thread_local Xoshiro256 rng(0x51c9a11 ^
-                                reinterpret_cast<uintptr_t>(&rng));
-    int level = 0;
-    while (level < kMaxLevel - 1 && (rng.Next() & 1) != 0) {
-      ++level;
-    }
-    return level;
-  }
-
-  Node* head_;
 };
 
 }  // namespace srl

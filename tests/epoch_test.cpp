@@ -12,6 +12,7 @@
 #include "src/epoch/epoch_domain.h"
 #include "src/epoch/node_pool.h"
 #include "src/epoch/retire_list.h"
+#include "src/skiplist/optimistic_skiplist.h"
 #include "src/skiplist/range_lock_skiplist.h"
 #include "tests/common/test_clock.h"
 
@@ -127,23 +128,19 @@ TEST(EpochDomainTest, CurrentThreadRecIsStablePerThread) {
   EXPECT_NE(a, other);
 }
 
-// --- Epoch-per-quantum (EpochQuantumGuard) ---
-
-// The amortization contract: the first guard opens a critical section that persists
-// across guards (no epoch movement, hence no RMWs, for the next kOpsPerQuantum - 1
-// operations), and the guard completing the quantum closes it — the epoch provably
-// moves every kOpsPerQuantum operations.
-// Regression: RangeLockSkipList::Insert used to spin on a winner's fully_linked bit
-// for as long as the winner stayed preempted — inside its own epoch critical section,
+// Regression: a same-key insert used to spin on a winner's fully_linked bit for as
+// long as the winner stayed preempted — inside its own epoch critical section,
 // pinning its epoch odd and stalling reclamation for the whole domain. The bounded
-// wait must cycle the section (epoch keeps moving) while the winner is stalled.
-TEST(EpochDomainTest, SkiplistLinkWaitDoesNotPinEpoch) {
-  RangeLockSkipList<ListLockPolicy> list;
+// wait must cycle the section (epoch keeps moving) while the winner is stalled. Both
+// skip lists share that wait (lazy_skiplist.h); each is checked.
+template <typename List>
+void ExpectLinkWaitDoesNotPinEpoch() {
+  List list;
   std::atomic<bool> gate{false};
   list.TestOnlySetLinkGate(&gate);
 
   // The winner links its node, then stalls at the gate before publishing
-  // fully_linked — still holding the insert range and its epoch section.
+  // fully_linked — still holding its exclusion and its epoch section.
   std::thread winner([&] { EXPECT_TRUE(list.Insert(42)); });
   ASSERT_TRUE(EventuallyTrue([&] { return list.DebugCount() == 1; }))
       << "winner never linked its node";
@@ -173,6 +170,20 @@ TEST(EpochDomainTest, SkiplistLinkWaitDoesNotPinEpoch) {
   EXPECT_TRUE(list.Contains(42));
 }
 
+TEST(EpochDomainTest, SkiplistLinkWaitDoesNotPinEpoch) {
+  ExpectLinkWaitDoesNotPinEpoch<RangeLockSkipList<ListLockPolicy>>();
+}
+
+TEST(EpochDomainTest, OrigSkiplistLinkWaitDoesNotPinEpoch) {
+  ExpectLinkWaitDoesNotPinEpoch<OptimisticSkipList>();
+}
+
+// --- Epoch-per-quantum (EpochQuantumGuard) ---
+
+// The amortization contract: the first guard opens a critical section that persists
+// across guards (no epoch movement, hence no RMWs, for the next kOpsPerQuantum - 1
+// operations), and the guard completing the quantum closes it — the epoch provably
+// moves every kOpsPerQuantum operations.
 TEST(EpochQuantumTest, QuantumSpansOpsAndRefreshesOnSchedule) {
   EpochDomain domain;
   std::thread worker([&] {

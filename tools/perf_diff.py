@@ -14,7 +14,11 @@ Rows are keyed by the table index plus every string-valued cell (variant names, 
 names, ...) plus any integer-valued known key column (threads, readers, ...), so
 reordering rows or adding new variants never mispairs measurements.
 
-A row regresses when current < baseline * (1 - threshold). Noise handling: benches
+A row regresses when current < baseline * (1 - threshold). Rows are compared only
+when their tables record the same core count (the "cpus" meta BenchJson writes; a table
+without it matches only another without it): a row recorded on another host is a
+HOST-MISMATCH, never a regression, and the summary then leads with the mismatch
+count instead of a bare "0 firm regression(s)". Noise handling: benches
 report a "rel-stddev%" column; when either side of a comparison carries a relative
 stddev above --noise-cap, the finding is reported as NOISY and does not affect the
 exit code (shared CI runners routinely show 2x swings on contended microbenches).
@@ -29,7 +33,7 @@ added to a bench's default roster) therefore arrive as ADDED/NEW-BENCH drift, ne
 a failure.
 
 Exit codes: 0 = no firm regressions, 1 = at least one firm regression, 2 = usage or
-input error. Schema drift never affects the exit code. --advisory forces exit 0 while
+input error. Schema drift and host mismatches never affect the exit code. --advisory forces exit 0 while
 still printing everything (for CI lanes on shared hardware where the report is
 informational).
 
@@ -139,18 +143,25 @@ def compare_bench(name, base, cur, args, findings):
         any_metrics = any_metrics or bool(bm) or bool(cm)
     if not any_metrics:
         findings.append(("SKIP", name, "", "no throughput columns to compare", 0.0))
-        return
+        return 0
 
     base_rows = index_rows(base)
     cur_rows = index_rows(cur)
     matched = 0
-    for key, (brow, _) in base_rows.items():
+    compared = 0
+    for key, (brow, bmeta) in base_rows.items():
         if key not in cur_rows:
             findings.append(("MISSING", name, fmt_key(key),
                              "row present in baseline but not in current run", 0.0))
             continue
-        crow, _ = cur_rows[key]
+        crow, cmeta = cur_rows[key]
         matched += 1
+        if bmeta.get("cpus") != cmeta.get("cpus"):
+            findings.append(("HOST-MISMATCH", name, fmt_key(key),
+                             f"recorded on {bmeta.get('cpus', '?')} vs "
+                             f"{cmeta.get('cpus', '?')} cpus; not compared", 0.0))
+            continue
+        compared += 1
         noisy = False
         for row in (brow, crow):
             stddev = row.get(STDDEV_COLUMN)
@@ -177,6 +188,7 @@ def compare_bench(name, base, cur, args, findings):
                              "row present only in current run", 0.0))
     if matched == 0:
         findings.append(("SKIP", name, "", "no rows matched between the two sets", 0.0))
+    return compared
 
 
 def main():
@@ -201,12 +213,13 @@ def main():
 
     findings = []
     compared = []
+    compared_rows = 0
     for name, base in sorted(base_set.items()):
         if name not in cur_set:
             findings.append(("SKIP", name, "", "bench absent from current set", 0.0))
             continue
         compared.append(name)
-        compare_bench(name, base, cur_set[name], args, findings)
+        compared_rows += compare_bench(name, base, cur_set[name], args, findings)
     for name in sorted(cur_set):
         if name not in base_set:
             findings.append(("NEW-BENCH", name, "",
@@ -216,7 +229,7 @@ def main():
     firm = [f for f in findings if f[0] == "REGRESSION"]
     noisy = [f for f in findings if f[0] == "NOISY-REGRESSION"]
     schema_kinds = ("SKIP", "MISSING", "ADDED", "METRIC-ADDED", "METRIC-REMOVED",
-                    "NEW-BENCH")
+                    "NEW-BENCH", "HOST-MISMATCH")
 
     print(f"perf_diff: compared {compared or 'nothing'} at threshold "
           f"{args.threshold:.0f}% (noise cap {args.noise_cap:.0f}% rel-stddev)")
@@ -225,7 +238,13 @@ def main():
         location = f"{bench}: {key}" if key else bench
         print(f"  [{kind}] {location}  {detail}{suffix}")
     counts = {k: sum(1 for f in findings if f[0] == k) for k in schema_kinds}
-    print(f"perf_diff: {len(firm)} firm regression(s), {len(noisy)} noisy; schema "
+    verdict = f"{len(firm)} firm regression(s), {len(noisy)} noisy"
+    if counts["HOST-MISMATCH"]:
+        verdict = (f"HOST MISMATCH: {counts['HOST-MISMATCH']} row(s) recorded on a "
+                   "different core count, not compared; " +
+                   (f"{verdict} in the other {compared_rows} row(s)"
+                    if compared_rows else "nothing else to compare"))
+    print(f"perf_diff: {verdict}; schema "
           f"drift: {counts['ADDED']} added row(s), {counts['MISSING']} missing row(s), "
           f"{counts['METRIC-ADDED']} added metric(s), "
           f"{counts['METRIC-REMOVED']} removed metric(s), "
